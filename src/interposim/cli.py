@@ -29,7 +29,7 @@ from .harness import (
     RunConfig,
     Simulator,
 )
-from .workloads import KINDS as WORKLOAD_KINDS
+from .workloads import KINDS as WORKLOAD_KINDS, WorkloadError
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -279,7 +279,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, AttackError, KeyError) as exc:
+    except (ConfigError, WorkloadError, AttackError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -402,6 +402,19 @@ class Core:
             and self.evict_addr is None
         )
 
+    def wake_tick(self) -> int | None:
+        """The tick from which step() acts, read from the fields that gate
+        it: ``evict_retry`` while an eviction waits, ``retry_tick`` while
+        a transaction waits, ``next_issue_tick`` while ops remain.  None
+        while a response is awaited, or when the core is done."""
+        if self.evict_addr is not None:
+            return self.evict_retry
+        if self.txn is not None:
+            return self.retry_tick
+        if self.op_idx < len(self.ops):
+            return self.next_issue_tick
+        return None
+
     def load_ops(self, ops, start_tick: int = 0) -> None:
         self.ops = list(ops)
         self.op_idx = 0
@@ -599,7 +612,7 @@ class ChipletAgent:
         self.chiplet = chiplet
         self.cores = cores
         self.topo = topo
-        self.send = send  # send(msg, tick, src_core)
+        self.send = send  # send(msg, tick)
         self.probes_seen = 0
 
     def handle_probe(self, msg: CoherenceMessage, tick: int) -> None:
@@ -633,23 +646,23 @@ class ChipletAgent:
                             MsgType.DATA_SHARED, owner_core.id, requester, 2,
                             address, dirty=True, data_block=line.data,
                         ),
-                        tick, owner_core.id,
+                        tick,
                     )
                 else:  # clean exclusive: downgrade, let memory supply data
                     owner_core.cache.set_state(address, CacheState.S)
                     self.send(
                         CoherenceMessage(MsgType.SHARED_ACK, rep, requester, 2, address),
-                        tick, rep,
+                        tick,
                     )
             elif shared:
                 self.send(
                     CoherenceMessage(MsgType.SHARED_ACK, rep, requester, 2, address),
-                    tick, rep,
+                    tick,
                 )
             else:
                 self.send(
                     CoherenceMessage(MsgType.ACK, rep, requester, 2, address),
-                    tick, rep,
+                    tick,
                 )
         elif msg.msg_type is MsgType.PROBE_INV:
             reply: CoherenceMessage | None = None
@@ -662,11 +675,11 @@ class ChipletAgent:
                     )
                 core.cache.drop(address)
             if reply is not None:
-                self.send(reply, tick, reply.requester_id)
+                self.send(reply, tick)
             else:
                 self.send(
                     CoherenceMessage(MsgType.ACK, rep, requester, 2, address),
-                    tick, rep,
+                    tick,
                 )
         else:
             raise ProtocolAssertionError(f"agent got non-probe {msg.type_name}")

@@ -3,9 +3,24 @@
 One Simulator owns the whole system: the interconnect fabric, per-core
 protocol engines, home-node directories, DRAM and the verification
 machinery (memory oracle plus single-writer census).  The loop advances
-a single global tick counter; interposer-side components run every
-fourth tick, chiplet-side components every tick, always in fixed order,
-so a (config, seed) pair reproduces byte-identical reports.
+a single global tick counter in a fixed order, so a (config, seed) pair
+reproduces byte-identical reports.  Within one tick:
+
+1. every fourth tick (one interposer cycle): permission updates, the
+   directories in controller order, then the interposer fabric;
+2. the chiplet hubs, which deliver packets to cores and agents;
+3. the attacks whose trigger tick has come;
+4. the cores whose wake tick has come, in core-id order.
+
+Cores are stepped only when due.  ``Core.wake_tick()`` reads the fields
+that gate ``Core.step`` (``evict_retry``, ``retry_tick``,
+``next_issue_tick``) and is None while the core awaits a response.  The
+simulator keeps a heap of (wake tick, core id), and every caller that
+can change those fields re-posts the core: the loop after ``step``, the
+delivery path after ``handle`` (the core may act in the same tick), and
+``run`` for every core at its start.  A core awaiting a response holds
+off fast-forward through idle ticks, so a lost response ends in the
+watchdog's deadlock halt.
 
 Exit codes: 0 completed, 2 security halt (machine-check), 3 deadlock or
 exhausted cycle budget, 64 invalid configuration.
@@ -13,6 +28,7 @@ exhausted cycle budget, 64 invalid configuration.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -311,7 +327,7 @@ class Simulator:
         self.agents = {
             k: ChipletAgent(
                 k, [self.cores[c] for c in topo.core_range(k)], topo,
-                self._agent_send,
+                self._core_send,
             )
             for k in range(topo.n_chiplets)
         }
@@ -323,7 +339,13 @@ class Simulator:
         self._attack_queue = sorted(
             cfg.attacks, key=lambda s: (s.trigger_tick, s.name)
         )
-        self._core_order = [self.cores[c] for c in sorted(self.cores)]
+        # Core wake-ups, filled by run(): a heap of (wake tick, core id),
+        # each core's latest posted wake tick (an entry that no longer
+        # matches it is stale), and the unfinished cores that posted none
+        # because they wait for a response.
+        self._wakeups: list[tuple[int, int]] = []
+        self._wake: list[int | None] = [None] * topo.n_cores
+        self._waiting: set[int] = set()
         self.halt_cause = "completed"
         self.halt_tick = 0
         self.halt_detail = ""
@@ -364,9 +386,6 @@ class Simulator:
     def _core_send(self, msg, tick):
         self.fabric.inject_from_core(msg, tick)
 
-    def _agent_send(self, msg, tick, src_core):
-        self.fabric.inject_from_core(msg, tick)
-
     def _make_dir_send(self, mc: int):
         def send(msg, target_chiplet=None):
             self.fabric.inject_from_mc(msg, mc, self.tick, target_chiplet)
@@ -391,7 +410,10 @@ class Simulator:
             if packet.malicious:
                 # A hostile packet made it past (or around) the SNIs.
                 self.leaked_deliveries += 1
-            self.cores[msg.destination_id].handle(msg, tick)
+            core = self.cores[msg.destination_id]
+            core.handle(msg, tick)
+            # Deliveries precede the cores' turn, so it may act this tick.
+            self._post(core, tick)
         # anything else is a delivered-but-unroutable packet; the SNIs
         # should make this unreachable for well-formed systems
 
@@ -411,28 +433,44 @@ class Simulator:
         )
         return len(self.fabric.registry) - self.delivered_packets - dropped
 
+    def _post(self, core: Core, earliest: int) -> None:
+        """Schedule core's next step at its wake tick, but not before
+        ``earliest``; a core that waits for a response is not scheduled."""
+        cid = core.id
+        wake = core.wake_tick()
+        if wake is not None:
+            wake = max(wake, earliest)
+            if wake != self._wake[cid]:
+                heapq.heappush(self._wakeups, (wake, cid))
+        if wake is None and not core.done:
+            self._waiting.add(cid)
+        else:
+            self._waiting.discard(cid)
+        self._wake[cid] = wake
+
+    def _next_wake(self) -> int | None:
+        """Earliest posted core wake tick, dropping stale heap entries."""
+        heap = self._wakeups
+        while heap and self._wake[heap[0][1]] != heap[0][0]:
+            heapq.heappop(heap)
+        return heap[0][0] if heap else None
+
     def _all_cores_done(self) -> bool:
-        return all(core.done for core in self.cores.values())
+        return not self._waiting and self._next_wake() is None
 
     def _dirs_idle(self) -> bool:
         return all(d.idle for d in self.directories.values())
 
     def _next_event_tick(self, tick: int) -> int | None:
         """Earliest future tick at which an idle system wakes up."""
+        if self._waiting:
+            # A core waits for a response that nothing carries: step on
+            # tick by tick so that the watchdog can fire.
+            return tick + 1
         candidates = []
-        for core in self.cores.values():
-            if core.evict_addr is not None:
-                if core.evict_retry is not None:
-                    candidates.append(core.evict_retry)
-                else:
-                    return tick + 1  # response in flight; should not happen idle
-            elif core.txn is not None:
-                if core.retry_tick is not None:
-                    candidates.append(core.retry_tick)
-                else:
-                    return tick + 1
-            elif core.op_idx < len(core.ops):
-                candidates.append(core.next_issue_tick)
+        wake = self._next_wake()
+        if wake is not None:
+            candidates.append(wake)
         if self._attack_queue:
             candidates.append(self._attack_queue[0].trigger_tick)
         if self._pending_updates:
@@ -457,6 +495,13 @@ class Simulator:
 
     def run(self) -> SimReport:
         cfg = self.cfg
+        cores = self.cores
+        # Post every core afresh: tests load ops after construction.
+        self._wakeups = wakeups = []
+        self._wake = [None] * len(cores)
+        self._waiting = set()
+        for core in cores.values():
+            self._post(core, 0)
         tick = 0
         last_progress = 0
         halted = False
@@ -486,8 +531,12 @@ class Simulator:
                     scenario.msg, scenario.src_core, tick
                 )
                 progressed = True
-            for core in self._core_order:
-                progressed |= core.step(tick)
+            while wakeups and wakeups[0][0] <= tick:
+                wake, cid = heapq.heappop(wakeups)
+                if self._wake[cid] == wake:
+                    core = cores[cid]
+                    progressed |= core.step(tick)
+                    self._post(core, tick + 1)
 
             icycle = tick // CLOCK_RATIO
             if progressed:

@@ -17,7 +17,6 @@ never interleave on a link.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 
 from .messages import CoherenceMessage, Flit, FlitPosition, encode
 from .sni import SniUnit
@@ -30,6 +29,13 @@ _PORT_ORDER = (Port.EAST, Port.WEST, Port.NORTH, Port.SOUTH, Port.LOCAL)
 _PORT_IDX = {p: i for i, p in enumerate(_PORT_ORDER)}
 _LOCAL_IDX = _PORT_IDX[Port.LOCAL]
 _OPP_IDX = (1, 0, 3, 2, 4)  # paired input port seen by the neighbor
+
+# Flit positions, compared by identity in the per-flit paths instead of
+# going through the Flit.is_head / is_tail properties.
+_HEAD = FlitPosition.HEAD
+_BODY = FlitPosition.BODY
+_TAIL = FlitPosition.TAIL
+_HEAD_TAIL = FlitPosition.HEAD_TAIL
 
 
 class Packet:
@@ -136,18 +142,21 @@ class Router:
         q.popleft()
         if not q:
             self.occupied.discard(key)
-        if flit.is_head:
+        pos = flit.position
+        if pos is _HEAD:
             packet.hops += 1
+            self.locks[out] = key
+        elif pos is _HEAD_TAIL:
+            packet.hops += 1
+            self.locks[out] = None
+        elif pos is _TAIL:
+            self.locks[out] = None
         if self.trace is not None:
             label = (
                 f"{self.id}->local" if out == _LOCAL_IDX
                 else f"{self.id}->{self.neighbors[out].id}"
             )
             self.trace(tick, packet, flit, label)
-        if flit.is_tail:
-            self.locks[out] = None
-        elif flit.is_head:
-            self.locks[out] = key
         return True
 
     def step(self, tick: int) -> bool:
@@ -159,7 +168,10 @@ class Router:
         buffers = self.buffers
         for key in sorted(self.occupied):
             flit, packet = buffers[key][0]
-            if flit.stamp >= tick or not flit.is_head:
+            if flit.stamp >= tick:
+                continue
+            pos = flit.position
+            if pos is not _HEAD and pos is not _HEAD_TAIL:
                 continue
             out = route[packet.dest_router]
             if heads[out] is None:
@@ -259,15 +271,16 @@ class ChipletIngress:
         for i, piece in enumerate(self.acc):
             payload |= piece.payload << (i * self.iw)
         head = self.count128 == 0
-        tail = self.acc[-1].is_tail
+        last = self.acc[-1].position
+        tail = last is _TAIL or last is _HEAD_TAIL
         if head and tail:
-            position = FlitPosition.HEAD_TAIL
+            position = _HEAD_TAIL
         elif head:
-            position = FlitPosition.HEAD
+            position = _HEAD
         elif tail:
-            position = FlitPosition.TAIL
+            position = _TAIL
         else:
-            position = FlitPosition.BODY
+            position = _BODY
         flit128 = Flit(
             payload=payload,
             width=CHIPLET_LINK_BITS,
@@ -321,7 +334,8 @@ class ChipletHub:
             if flit.stamp < tick:
                 self.ingress.popleft()
                 moved = True
-                if flit.is_tail:
+                pos = flit.position
+                if pos is _TAIL or pos is _HEAD_TAIL:
                     packet.deliver_tick = tick
                     self.deliver(self.chiplet, packet, tick)
         src = self._pick_source()
@@ -349,7 +363,8 @@ class ChipletHub:
                     self.boundary.push_egress(flit, packet, tick)
                 packet.sent128 += 1
                 moved = True
-                if flit.is_tail:
+                pos = flit.position
+                if pos is _TAIL or pos is _HEAD_TAIL:
                     self.lock = None
                     self.last_grant = src
                     self.queues[src].popleft()
@@ -385,16 +400,11 @@ class McNi:
         return True
 
     def sink(self, flit: Flit, packet: Packet, tick: int) -> bool:
-        if flit.is_tail:
+        pos = flit.position
+        if pos is _TAIL or pos is _HEAD_TAIL:
             packet.deliver_tick = tick
             self.deliver(self.mc, packet, tick)
         return True
-
-
-@dataclass
-class FabricCounters:
-    injected: int = 0
-    delivered: int = 0
 
 
 class Fabric:
@@ -421,7 +431,6 @@ class Fabric:
         self.topo = topo
         self.iw = interposer_width
         self.vc_per_vnet = vc_per_vnet
-        self.counters = FabricCounters()
         self.registry: list[Packet] = []
         self.trace_events: list[tuple[int, int, str]] | None = (
             [] if enable_trace else None
@@ -498,7 +507,6 @@ class Fabric:
         packet.flits = encode(msg, self.iw, pid)
         packet.flit_total = len(packet.flits)
         self.registry.append(packet)
-        self.counters.injected += 1
         return packet
 
     def inject_from_core(
@@ -560,7 +568,8 @@ class Fabric:
                 _LOCAL_IDX, packet.vnet, packet.vc, flit, packet, self._tick
             )
             if ok:
-                if flit.is_head:
+                pos = flit.position
+                if pos is _HEAD or pos is _HEAD_TAIL:
                     packet.hops += 1
                     if packet.first_grant_tick < 0:
                         # Queuing ends when the head is granted onto the
@@ -608,11 +617,6 @@ class Fabric:
         return moved
 
     # -- accounting -------------------------------------------------------
-
-    def undelivered(self) -> list[Packet]:
-        return [
-            p for p in self.registry if p.deliver_tick < 0 and not p.dropped
-        ]
 
     def ledger(self) -> dict:
         delivered = dropped = in_flight = flits_in = flits_out = 0

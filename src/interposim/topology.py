@@ -15,7 +15,6 @@ from enum import Enum
 from .messages import BROADCAST_ID, MC_NODE_BASE
 
 INTERPOSER_ROUTER_BASE = 72
-CHIPLET_HUB_BASE = 64
 MESH_COLS = 3
 
 # Cache-line interleaving across memory controllers.
@@ -89,9 +88,6 @@ class Topology:
 
     def home_mc(self, address: int) -> int:
         return (address >> LINE_SHIFT) % self.n_mcs
-
-    def hub_router(self, chiplet: int) -> int:
-        return CHIPLET_HUB_BASE + chiplet
 
     # --- interposer router geometry -------------------------------------
 

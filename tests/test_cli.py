@@ -106,6 +106,17 @@ class TestValidate:
         assert code == EXIT_CONFIG
         assert "error" in capsys.readouterr().err
 
+    def test_bad_trace_record(self, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text("0 0 X 0x80\n", encoding="utf-8")
+        code = main([
+            "run", "--preset", "desk-scale", "--workload", "trace",
+            "--trace", str(path),
+        ])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "bad record" in err and "Traceback" not in err
+
     def test_missing_permission_file(self, capsys):
         code = main([
             "run", "--preset", "desk-scale",

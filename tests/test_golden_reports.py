@@ -1,0 +1,125 @@
+"""Pinned report digests: the behavioural contract of a refactor.
+
+Each config below is cheap and exercises a different part of the
+simulator.  ``tests/data/golden_reports.txt`` holds the sha256 of each
+run's ``SimReport.to_json()``; a change that alters any report byte
+fails here.  A change that alters reports on purpose must say why and
+re-record the file:
+
+    PYTHONPATH=src python tests/test_golden_reports.py > tests/data/golden_reports.txt
+
+The digests are checked in this process and in fresh interpreters under
+two ``PYTHONHASHSEED`` values, so no report may depend on set or dict
+ordering of hashed keys.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+from interposim import presets
+from interposim.apu import Permission
+from interposim.attacks import standard_suite
+from interposim.harness import Simulator
+from interposim.workloads import WorkloadSpec
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden_reports.txt"
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _desk_w128():
+    return replace(presets.desk_scale(seed=1), interposer_width=128,
+                   label="desk-scale-w128")
+
+
+def _baseline_short():
+    cfg = presets.baseline(128, seed=2)
+    return replace(cfg, workload=replace(cfg.workload, ops_per_core=6),
+                   label="baseline-128-short")
+
+
+def _observer_sharing():
+    """Chiplet 7 locked out: SNI-2 rewrites its probes into NACKs."""
+    active = tuple(c for c in range(64) if c // 8 != 7)
+    return replace(
+        presets.baseline(64, seed=3),
+        permissions=presets.observer_table(7),
+        workload=WorkloadSpec(
+            kind="sharing", ops_per_core=4, read_fraction=0.5,
+            shared_lines=8, mean_gap_ticks=8, active_cores=active,
+        ),
+        label="observer-sharing",
+    )
+
+
+def _attack_halt():
+    """A denied read launched while benign traffic is in flight."""
+    table = presets.attack_demo_table()
+    cfg = replace(
+        presets.baseline(128, seed=5), permissions=table,
+        workload=WorkloadSpec(kind="uniform", ops_per_core=40, mean_gap_ticks=8),
+        label="attack-halt",
+    )
+    scenario = standard_suite(cfg.topology(), table, trigger_tick=400)[1]
+    return replace(cfg, attacks=(scenario,))
+
+
+def _permission_update():
+    """Chiplet 1 loses write access to region 0 mid-run."""
+    return replace(
+        presets.desk_scale(seed=4),
+        permission_updates=((150, 0, 1, Permission.READ_ONLY),),
+        label="permission-update",
+    )
+
+
+CONFIGS = {
+    "desk-scale-w64": lambda: presets.desk_scale(seed=0),
+    "desk-scale-w128": _desk_w128,
+    "baseline-128-short": _baseline_short,
+    "observer-sharing": _observer_sharing,
+    "attack-halt": _attack_halt,
+    "permission-update": _permission_update,
+}
+
+
+def digests() -> dict[str, str]:
+    return {
+        name: hashlib.sha256(Simulator(build()).run().to_json().encode()).hexdigest()
+        for name, build in CONFIGS.items()
+    }
+
+
+def _pinned() -> dict[str, str]:
+    pairs = (line.split() for line in GOLDEN.read_text(encoding="utf-8").splitlines())
+    return {name: digest for name, digest in pairs}
+
+
+def test_pins_cover_every_config():
+    assert sorted(_pinned()) == sorted(CONFIGS)
+
+
+def test_digests_in_process():
+    assert digests() == _pinned()
+
+
+def test_digests_across_hash_seeds():
+    pinned = _pinned()
+    for hash_seed in ("0", "12345"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(SRC))
+        out = subprocess.run(
+            [sys.executable, __file__], env=env, check=True,
+            stdout=subprocess.PIPE, text=True,
+        ).stdout
+        seen = dict(line.split() for line in out.splitlines())
+        assert seen == pinned, f"PYTHONHASHSEED={hash_seed}"
+
+
+if __name__ == "__main__":
+    for name, digest in digests().items():
+        print(name, digest)

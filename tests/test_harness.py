@@ -6,6 +6,7 @@ import pytest
 
 from interposim import presets
 from interposim.apu import Permission
+from interposim.coherence import CacheState, _Txn, value_to_block
 from interposim.harness import (
     EXIT_DEADLOCK,
     EXIT_OK,
@@ -117,6 +118,8 @@ class TestRunOutcomes:
         report = Simulator(cfg).run()
         assert report.halt_cause == "budget"
         assert report.exit_code == EXIT_DEADLOCK
+        assert report.halt_tick == 500
+        assert report.counters["commits"] == 8
 
     def test_report_json_is_stable(self):
         cfg = presets.desk_scale(seed=3)
@@ -174,3 +177,94 @@ def test_with_sni_labels():
     assert with_sni(cfg, False).sni_enabled is False
     assert with_sni(cfg, False).label.endswith("sni-off")
     assert with_sni(cfg, True).label.endswith("sni-on")
+
+
+class TestScheduler:
+    """Halt cause, halt tick and commit count pinned for the main loop's
+    scheduling corner cases (the exhausted budget is pinned above): a
+    deadlock the watchdog must catch, and a write-back that must wait
+    for a busy line."""
+
+    def test_watchdog_catches_a_core_waiting_forever(self):
+        cfg = replace(
+            presets.desk_scale(seed=0),
+            workload=WorkloadSpec(kind="idle"),
+            watchdog_icycles=100,
+        )
+        sim = Simulator(cfg)
+        # The second read is due long after the watchdog fires.
+        sim.cores[1].load_ops([(5, "R", 0x40, 0), (2000, "R", 0xC0, 0)])
+        # A request that was never sent: no response will ever come, and
+        # the waiting core must hold off fast-forward until the watchdog.
+        sim.cores[0].txn = _Txn(MsgType.GETS, 0x80, "R", 0, had_line=False)
+        report = sim.run()
+        assert report.halt_cause == "deadlock"
+        assert report.exit_code == EXIT_DEADLOCK
+        assert report.halt_tick == 584
+        assert report.counters["commits"] == 1
+
+    @staticmethod
+    def _blocked_write_back():
+        """Core 0 must evict dirty line a to write c, but a's home is busy
+        with another requester, so every PUT is WB_NACKed until the test
+        releases the line."""
+        cfg = replace(
+            presets.desk_scale(seed=0),
+            workload=WorkloadSpec(kind="idle"),
+            cache_lines=2,
+        )
+        sim = Simulator(cfg)
+        core = sim.cores[0]
+        a, b, c = 0x40, 0x80, 0xC0
+        for address in (a, b):
+            core.cache.install(address, CacheState.M, value_to_block(address))
+        core.load_ops([(3, "W", c, 7)])
+        home = sim.directories[sim.topo.home_mc(a)]
+        home.busy[a] = 1
+        sent = []  # (message type, tick) of everything core 0 sends
+        send = core.send
+        core.send = lambda msg, tick: (sent.append((msg.msg_type, tick)), send(msg, tick))
+        return sim, core, home, a, sent
+
+    def test_wb_nacked_write_back_retries_at_evict_retry(self):
+        sim, core, home, a, sent = self._blocked_write_back()
+        nacks = []
+        handle = core.handle
+
+        def logged_handle(msg, tick):
+            if msg.msg_type is MsgType.WB_NACK:
+                nacks.append(tick)
+                if len(nacks) == 2:
+                    home.busy.pop(a)
+            handle(msg, tick)
+
+        core.handle = logged_handle
+        report = sim.run()
+        puts = [tick for kind, tick in sent if kind is MsgType.PUT]
+        assert puts == [3, 153, 301] and nacks == [73, 221]
+        assert puts[1:] == [t + core.retry_backoff for t in nacks]
+        assert report.halt_cause == "completed"
+        assert report.counters["commits"] == 1
+        assert report.halt_tick == 584
+
+    def test_write_back_dropped_while_waiting_resumes_next_tick(self):
+        """The victim is invalidated while its PUT waits to be retried:
+        at evict_retry the core finds nothing to write back and issues
+        its request on the following tick."""
+        sim, core, home, a, sent = self._blocked_write_back()
+        handle = core.handle
+
+        def invalidating_handle(msg, tick):
+            handle(msg, tick)
+            if msg.msg_type is MsgType.WB_NACK:
+                core.cache.drop(a)  # as a PROBE_INV from another requester
+                home.busy.pop(a)
+
+        core.handle = invalidating_handle
+        report = sim.run()
+        # WB_NACK at tick 73, so evict_retry is 73 + retry_backoff.
+        evict_retry = 73 + core.retry_backoff
+        assert sent[:2] == [(MsgType.PUT, 3), (MsgType.GETX, evict_retry + 1)]
+        assert report.halt_cause == "completed"
+        assert report.counters["commits"] == 1
+        assert report.halt_tick == 328
