@@ -147,7 +147,10 @@ def extra_templates(topo: Topology, table: ApuTable, src_core: int = 0):
 def load_scenarios(path: str, topo: Topology) -> list[AttackScenario]:
     """Read scenarios from a JSON file (list of objects)."""
     with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise AttackError(f"attack file {path}: {exc}") from None
     if not isinstance(raw, list):
         raise AttackError("attack file must hold a JSON list")
     scenarios = []

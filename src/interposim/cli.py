@@ -21,7 +21,7 @@ import sys
 from dataclasses import replace
 
 from . import presets
-from .apu import ApuTable
+from .apu import ApuError, ApuTable
 from .attacks import AttackError, load_scenarios, standard_suite
 from .harness import (
     EXIT_CONFIG,
@@ -279,7 +279,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, WorkloadError, AttackError, KeyError) as exc:
+    except (ConfigError, WorkloadError, AttackError, ApuError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -317,6 +317,7 @@ class Simulator:
             )
             for m in range(topo.n_mcs)
         }
+        self._dir_order = [self.directories[m] for m in sorted(self.directories)]
         self.cores: dict[int, Core] = {}
         retry_ticks = cfg.retry_backoff_icycles * CLOCK_RATIO
         for c in range(topo.n_cores):
@@ -512,8 +513,8 @@ class Simulator:
             if tick % CLOCK_RATIO == 0:
                 icycle = tick // CLOCK_RATIO
                 self._apply_permission_updates(icycle)
-                for m in sorted(self.directories):
-                    progressed |= self.directories[m].step(icycle)
+                for directory in self._dir_order:
+                    progressed |= directory.step(icycle)
                 violations, moved = self.fabric.step_interposer(tick)
                 progressed |= moved
                 if violations:

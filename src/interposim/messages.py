@@ -202,17 +202,14 @@ class FlitPosition(Enum):
 class Flit:
     """Fixed-width slice of an encoded message.
 
-    Timestamps are out-of-band simulator metadata and never part of the
-    encoded bits; ``stamp`` tracks the last tick this flit moved.
+    ``stamp`` is out-of-band simulator metadata, never part of the
+    encoded bits: the last tick this flit moved.
     """
 
     payload: int
     width: int
     position: FlitPosition
     packet_id: int
-    injection_tick: int = -1
-    ingress_tick: int = -1
-    egress_tick: int = -1
     stamp: int = -1
 
     @property

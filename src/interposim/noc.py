@@ -3,9 +3,11 @@
 Two clock domains share one global tick counter: chiplet-side components
 step every tick, interposer-side components every fourth tick (a 4:1
 frequency ratio).  Chiplet links are 128 bits wide; interposer links are
-64 or 128 bits, so the boundary re-slices flits between widths.  Every
-ingress link into the interposer passes through an SNI; router-to-router
-links inside the mesh do not.
+64 or 128 bits.  A packet is encoded once, at the interposer width, where
+the SNIs read its header bits; on a chiplet link it moves as a count of
+128-bit beats, each beat standing for ``128 // width`` interposer flits.
+Every ingress link into the interposer passes through an SNI;
+router-to-router links inside the mesh do not.
 
 Routers implement wormhole switching with dimension-order (XY) routing,
 four virtual networks and a configurable number of virtual channels per
@@ -18,11 +20,10 @@ from __future__ import annotations
 
 from collections import deque
 
-from .messages import CoherenceMessage, Flit, FlitPosition, encode
+from .messages import CHIPLET_LINK_BITS, CoherenceMessage, Flit, FlitPosition, encode
 from .sni import SniUnit
 from .topology import Port, Topology, TopologyError
 
-CHIPLET_LINK_BITS = 128
 CLOCK_RATIO = 4  # interposer period in chiplet ticks (1 GHz vs 250 MHz)
 
 _PORT_ORDER = (Port.EAST, Port.WEST, Port.NORTH, Port.SOUTH, Port.LOCAL)
@@ -33,7 +34,6 @@ _OPP_IDX = (1, 0, 3, 2, 4)  # paired input port seen by the neighbor
 # Flit positions, compared by identity in the per-flit paths instead of
 # going through the Flit.is_head / is_tail properties.
 _HEAD = FlitPosition.HEAD
-_BODY = FlitPosition.BODY
 _TAIL = FlitPosition.TAIL
 _HEAD_TAIL = FlitPosition.HEAD_TAIL
 
@@ -42,13 +42,14 @@ class Packet:
     """One message in flight, with its flits and latency bookkeeping.
 
     Timestamps are global ticks.  ``flits`` holds the interposer-width
-    encoding, ``flits128`` the chiplet-link encoding of core-sourced
-    packets (identical payload bits, re-sliced).
+    encoding, the only one; ``sent128`` counts the 128-bit beats a core
+    packet has sent over its chiplet link and ``sent_iw`` the flits that
+    have entered its ingress SNI.
     """
 
     __slots__ = (
         "pid", "msg", "src_node", "dest_node", "target_chiplet", "vnet",
-        "vc", "dest_router", "flits", "flits128", "flit_total",
+        "vc", "dest_router", "flits", "flit_total",
         "sent128", "sent_iw", "inject_tick", "first_grant_tick",
         "deliver_tick", "hops", "sni_delay", "sni_kind", "dropped",
         "malicious", "loopback",
@@ -72,7 +73,6 @@ class Packet:
         self.vc: int | None = None
         self.dest_router = dest_router
         self.flits: list[Flit] = []
-        self.flits128: list[Flit] = []
         self.flit_total = 0
         self.sent128 = 0
         self.sent_iw = 0
@@ -210,35 +210,30 @@ class Router:
 
 
 class ChipletBoundary:
-    """Outbound side of one chiplet link: hub flits re-sliced into the
-    interposer width and fed into the chiplet's SNI-1, one flit per
-    interposer cycle."""
+    """Outbound side of one chiplet link: each 128-bit beat from the hub
+    releases its ``ratio`` interposer-width flits into the chiplet's
+    SNI-1, one flit per interposer cycle."""
 
     def __init__(self, chiplet: int, interposer_width: int, sni: SniUnit, egress_cap: int):
         self.chiplet = chiplet
-        self.iw = interposer_width
         self.ratio = CHIPLET_LINK_BITS // interposer_width
         self.sni = sni
         self.egress_cap = egress_cap
-        self.egress: deque[tuple[Flit, Packet]] = deque()
+        # one entry per 128-bit beat: (stamp tick, packet)
+        self.egress: deque[tuple[int, Packet]] = deque()
         self.pending: deque[tuple[Flit, Packet]] = deque()
 
     def egress_space(self) -> bool:
         return len(self.egress) < self.egress_cap
 
-    def push_egress(self, flit: Flit, packet: Packet, tick: int) -> None:
-        flit.stamp = tick
-        self.egress.append((flit, packet))
-
     def step(self, icycle: int, tick: int) -> bool:
         moved = False
         if not self.pending and self.egress:
-            flit128, packet = self.egress[0]
-            if flit128.stamp < tick:
+            stamp, packet = self.egress[0]
+            if stamp < tick:
                 self.egress.popleft()
                 idx = packet.sent_iw
                 for piece in packet.flits[idx:idx + self.ratio]:
-                    piece.injection_tick = flit128.injection_tick
                     self.pending.append((piece, packet))
                 packet.sent_iw = idx + self.ratio
                 moved = True
@@ -250,55 +245,31 @@ class ChipletBoundary:
 
 
 class ChipletIngress:
-    """Inbound side of one chiplet link: merges interposer-width pieces
-    back into 128-bit flits for the hub.  Wormhole locking on the
+    """Inbound side of one chiplet link: every ``ratio`` interposer-width
+    flits make one 128-bit beat for the hub.  Wormhole locking on the
     router's local port guarantees pieces of one packet arrive
     contiguously."""
 
     def __init__(self, chiplet: int, interposer_width: int, hub: "ChipletHub"):
         self.chiplet = chiplet
-        self.iw = interposer_width
         self.ratio = CHIPLET_LINK_BITS // interposer_width
         self.hub = hub
-        self.acc: list[Flit] = []
-        self.count128 = 0
+        self.pieces = 0
 
     def sink(self, flit: Flit, packet: Packet, tick: int) -> bool:
-        self.acc.append(flit)
-        if len(self.acc) < self.ratio:
+        self.pieces += 1
+        if self.pieces < self.ratio:
             return True
-        payload = 0
-        for i, piece in enumerate(self.acc):
-            payload |= piece.payload << (i * self.iw)
-        head = self.count128 == 0
-        last = self.acc[-1].position
-        tail = last is _TAIL or last is _HEAD_TAIL
-        if head and tail:
-            position = _HEAD_TAIL
-        elif head:
-            position = _HEAD
-        elif tail:
-            position = _TAIL
-        else:
-            position = _BODY
-        flit128 = Flit(
-            payload=payload,
-            width=CHIPLET_LINK_BITS,
-            position=position,
-            packet_id=packet.pid,
-            injection_tick=self.acc[0].injection_tick,
-        )
-        flit128.stamp = tick
-        self.acc = []
-        self.count128 = 0 if tail else self.count128 + 1
-        self.hub.ingress.append((flit128, packet))
+        self.pieces = 0
+        pos = flit.position
+        self.hub.ingress.append((tick, packet, pos is _TAIL or pos is _HEAD_TAIL))
         return True
 
 
 class ChipletHub:
     """On-chiplet hub router, collapsed to the boundary-relevant part:
     per-core injection queues arbitrated onto the single chiplet link,
-    plus the ingress stream delivering one 128-bit flit per tick."""
+    plus the ingress stream delivering one 128-bit beat per tick."""
 
     def __init__(self, chiplet: int, topo: Topology, deliver):
         self.chiplet = chiplet
@@ -306,13 +277,20 @@ class ChipletHub:
         self.deliver = deliver  # deliver(chiplet, packet, tick)
         self.core_ids = list(topo.core_range(chiplet))
         self.queues: dict[int, deque[Packet]] = {c: deque() for c in self.core_ids}
-        self.ingress: deque[tuple[Flit, Packet]] = deque()
+        # one entry per 128-bit beat: (stamp tick, packet, last beat)
+        self.ingress: deque[tuple[int, Packet, bool]] = deque()
         self.boundary: ChipletBoundary | None = None
         self.lock: int | None = None
         self.last_grant = -1
         self.backlog = 0  # queued packets across all cores
 
     def enqueue(self, packet: Packet) -> None:
+        """Queue a core packet; one bound for a core of this chiplet is
+        looped back by the hub and never reaches the interposer."""
+        dest = packet.dest_node
+        packet.loopback = (
+            self.topo.is_core(dest) and self.topo.chiplet_of_core(dest) == self.chiplet
+        )
         self.queues[packet.src_node].append(packet)
         self.backlog += 1
 
@@ -330,41 +308,30 @@ class ChipletHub:
     def step(self, tick: int) -> bool:
         moved = False
         if self.ingress:
-            flit, packet = self.ingress[0]
-            if flit.stamp < tick:
+            stamp, packet, last = self.ingress[0]
+            if stamp < tick:
                 self.ingress.popleft()
                 moved = True
-                pos = flit.position
-                if pos is _TAIL or pos is _HEAD_TAIL:
+                if last:
                     packet.deliver_tick = tick
                     self.deliver(self.chiplet, packet, tick)
         src = self._pick_source()
         if src is not None:
             packet = self.queues[src][0]
-            dest_local = (
-                packet.target_chiplet is None
-                and self.topo.is_core(packet.dest_node)
-                and self.topo.chiplet_of_core(packet.dest_node) == self.chiplet
-            )
-            can_move = dest_local or self.boundary.egress_space()
-            flit = packet.flits128[packet.sent128]
-            if can_move:
-                if packet.sent128 == 0:
-                    packet.loopback = dest_local
-                    if dest_local:
-                        # Loopback never reaches the mesh: the hub grant
-                        # is its first (and only) link grant.
-                        packet.first_grant_tick = tick
-                flit.injection_tick = packet.inject_tick
-                if dest_local:
-                    flit.stamp = tick
-                    self.ingress.append((flit, packet))
-                else:
-                    self.boundary.push_egress(flit, packet, tick)
+            loopback = packet.loopback
+            if loopback or self.boundary.egress_space():
+                if loopback and packet.sent128 == 0:
+                    # Loopback never reaches the mesh: the hub grant is
+                    # its first (and only) link grant.
+                    packet.first_grant_tick = tick
                 packet.sent128 += 1
+                last = packet.sent128 == packet.flit_total // self.boundary.ratio
+                if loopback:
+                    self.ingress.append((tick, packet, last))
+                else:
+                    self.boundary.egress.append((tick, packet))
                 moved = True
-                pos = flit.position
-                if pos is _TAIL or pos is _HEAD_TAIL:
+                if last:
                     self.lock = None
                     self.last_grant = src
                     self.queues[src].popleft()
@@ -391,9 +358,7 @@ class McNi:
         if not self.queue or not self.sni.can_accept():
             return False
         packet = self.queue[0]
-        flit = packet.flits[packet.sent_iw]
-        flit.injection_tick = packet.inject_tick
-        self.sni.push(flit, packet, icycle)
+        self.sni.push(packet.flits[packet.sent_iw], packet, icycle)
         packet.sent_iw += 1
         if packet.sent_iw == len(packet.flits):
             self.queue.popleft()
@@ -515,9 +480,7 @@ class Fabric:
         packet = self.new_packet(
             msg, msg.requester_id, msg.destination_id, tick, malicious=malicious
         )
-        packet.flits128 = encode(msg, CHIPLET_LINK_BITS, packet.pid)
-        chiplet = self.topo.chiplet_of_core(msg.requester_id)
-        self.hubs[chiplet].enqueue(packet)
+        self.hubs[self.topo.chiplet_of_core(msg.requester_id)].enqueue(packet)
         return packet
 
     def inject_from_core_as(
@@ -533,7 +496,6 @@ class Fabric:
             # still heads onto the interposer and meets the link's SNI.
             dest = self.topo.mc_node(0)
         packet = self.new_packet(msg, src_core, dest, tick, malicious=malicious)
-        packet.flits128 = encode(msg, CHIPLET_LINK_BITS, packet.pid)
         self.hubs[self.topo.chiplet_of_core(src_core)].enqueue(packet)
         return packet
 
@@ -548,6 +510,7 @@ class Fabric:
         return packet
 
     def _spawn(self, msg: CoherenceMessage, src_node: int, dest_node: int, icycle: int) -> Packet:
+        """An SNI-2 rewrite's replacement packet, encoded like any other."""
         tick = icycle * CLOCK_RATIO
         packet = self.new_packet(msg, src_node, dest_node, tick)
         packet.first_grant_tick = tick

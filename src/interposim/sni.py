@@ -23,7 +23,6 @@ from .messages import (
     Flit,
     MsgType,
     control_flit_count,
-    encode,
     extract_stage,
 )
 from .topology import Port, Topology
@@ -324,6 +323,8 @@ class SniUnit:
         self.width = width
         self.table_getter = table_getter
         self.forward = forward
+        # spawn_packet(msg, src_node, dest_node, cycle) -> a new packet
+        # whose flits are already encoded at this unit's width
         self.spawn_packet = spawn_packet
         self.enabled = enabled
         self.rewrite_enabled = rewrite_enabled
@@ -346,7 +347,6 @@ class SniUnit:
         entry.flits.append(flit)
         entry.arrived += 1
         self.held += 1
-        flit.ingress_tick = cycle
         if entry.arrived == self.header_flits:
             entry.final_header_cycle = cycle
             entry.verdict = self._judge(entry)
@@ -385,8 +385,7 @@ class SniUnit:
             verdict.replacement, verdict.replacement.requester_id,
             verdict.new_destination, cycle,
         )
-        flits = encode(verdict.replacement, self.width, new_packet.pid)
-        new_packet.flits = flits
+        flits = new_packet.flits
         entry.packet = new_packet
         entry.flits = flits
         entry.arrived = len(flits)
@@ -427,7 +426,6 @@ class SniUnit:
             if entry.forwarded < len(entry.flits):
                 flit = entry.flits[entry.forwarded]
                 if self.forward(flit, entry.packet):
-                    flit.egress_tick = cycle
                     if entry.forwarded == 0:
                         entry.packet.sni_delay = cycle - entry.final_header_cycle
                         entry.packet.sni_kind = self.cfg.kind.value

@@ -207,8 +207,3 @@ def _from_trace(spec: WorkloadSpec, topo: Topology):
             value = _wvalue(rng) if parts[2] == "W" else 0
             ops.setdefault(core, []).append((gap, parts[2], address, value))
     return ops
-
-
-def packets_lower_bound(ops: dict[int, list]) -> int:
-    """Crude floor on generated packets: one request per op at minimum."""
-    return sum(len(v) for v in ops.values())

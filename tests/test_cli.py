@@ -117,6 +117,28 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "bad record" in err and "Traceback" not in err
 
+    def test_bad_permission_directive(self, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text("garbage line here\n", encoding="utf-8")
+        code = main([
+            "validate-config", "--preset", "desk-scale",
+            "--permissions", str(path),
+        ])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_attack_file_not_json(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text("{not json\n", encoding="utf-8")
+        code = main([
+            "validate-config", "--preset", "desk-scale",
+            "--attacks", str(path),
+        ])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_missing_permission_file(self, capsys):
         code = main([
             "run", "--preset", "desk-scale",

@@ -227,6 +227,8 @@ class _Harness:
     def _spawn(self, msg, src, dest, cycle):
         packet = Packet(self._next_pid, msg, src, dest, 0)
         self._next_pid += 1
+        packet.flits = encode(msg, self.unit.width, packet.pid)
+        packet.flit_total = len(packet.flits)
         return packet
 
     def make_packet(self, msg, width, target_chiplet=None):
