@@ -231,6 +231,7 @@ def _cmd_validate(args) -> int:
         for e in errors:
             print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
+    Simulator(cfg)  # builds the workload, as a run does: reads the trace
     print("configuration ok")
     return 0
 

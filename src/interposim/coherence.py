@@ -169,11 +169,11 @@ class MemoryOracle:
 
     def __init__(self):
         self.mem: dict[int, int] = {}
-        self.log: list[tuple[int, int, str, int, int]] = []
+        self.commits = 0
         self.divergences: list[str] = []
 
     def commit(self, tick: int, core: int, kind: str, address: int, value: int):
-        self.log.append((tick, core, kind, address, value))
+        self.commits += 1
         if kind == "W":
             self.mem[address] = value
         else:

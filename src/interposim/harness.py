@@ -7,7 +7,8 @@ a single global tick counter in a fixed order, so a (config, seed) pair
 reproduces byte-identical reports.  Within one tick:
 
 1. every fourth tick (one interposer cycle): permission updates, the
-   directories in controller order, then the interposer fabric;
+   directories with a message or a DRAM event pending, in controller
+   order, then the interposer fabric;
 2. the chiplet hubs, which deliver packets to cores and agents;
 3. the attacks whose trigger tick has come;
 4. the cores whose wake tick has come, in core-id order.
@@ -30,8 +31,7 @@ from __future__ import annotations
 
 import heapq
 import json
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .apu import ApuTable, Permission
 from .attacks import AttackScenario
@@ -45,7 +45,7 @@ from .coherence import (
     SwmrChecker,
 )
 from .messages import LINK_WIDTHS, MsgType
-from .noc import CLOCK_RATIO, Fabric, Packet
+from .noc import CLOCK_RATIO, Fabric, Packet, nearest_rank
 from .sni import SniConfig, SniKind, SniUnit
 from .topology import Topology
 from . import workloads
@@ -178,47 +178,7 @@ def percentile(sorted_values: list[int], fraction: float) -> int:
     """Nearest-rank percentile over pre-sorted values."""
     if not sorted_values:
         return 0
-    rank = max(1, math.ceil(len(sorted_values) * fraction))
-    rank = min(rank, len(sorted_values))
-    return sorted_values[rank - 1]
-
-
-def collect_latency(packets: list[Packet], include_loopback: bool = False) -> dict:
-    """Aggregate the exact latency decomposition over delivered packets.
-
-    queuing (injection until the head is granted onto the first mesh
-    router, which includes any checker pipeline) + in_network (mesh
-    grant to tail delivery) = total, per packet and therefore in the
-    means.
-    """
-    queuing = in_network = total = hops = 0
-    totals = []
-    for p in packets:
-        if p.deliver_tick < 0 or p.dropped:
-            continue
-        if p.loopback and not include_loopback:
-            continue
-        q = p.first_grant_tick - p.inject_tick
-        n = p.deliver_tick - p.first_grant_tick
-        queuing += q
-        in_network += n
-        total += q + n
-        hops += p.hops
-        totals.append(q + n)
-    count = len(totals)
-    totals.sort()
-    if count == 0:
-        return {"packets": 0}
-    return {
-        "packets": count,
-        "mean_queuing": round(queuing / count, 6),
-        "mean_in_network": round(in_network / count, 6),
-        "mean_total": round(total / count, 6),
-        "mean_hops": round(hops / count, 6),
-        "p50_total": percentile(totals, 0.50),
-        "p95_total": percentile(totals, 0.95),
-        "p99_total": percentile(totals, 0.99),
-    }
+    return sorted_values[nearest_rank(len(sorted_values), fraction) - 1]
 
 
 @dataclass
@@ -287,7 +247,6 @@ class Simulator:
         self.swmr = SwmrChecker()
         self.oracle = MemoryOracle()
         self.dram = Dram()
-        self.delivered_packets = 0
         self.leaked_deliveries = 0
         self.delivery_log: dict[str, list[str]] | None = (
             {} if cfg.collect_delivery_log else None
@@ -354,7 +313,7 @@ class Simulator:
 
     # -- wiring -----------------------------------------------------------
 
-    def _sni_factory(self, kind: str, router_id: int, index: int, forward, spawn):
+    def _sni_factory(self, kind: str, router_id: int, index: int, forward, drop):
         cfg = self.cfg
         if kind == "sni1":
             sni_cfg = SniConfig(
@@ -378,7 +337,7 @@ class Simulator:
             cfg.interposer_width,
             table_getter=lambda rid=router_id: self.replicas[rid],
             forward=forward,
-            spawn_packet=spawn,
+            drop_packet=drop,
             enabled=cfg.sni_enabled,
             rewrite_enabled=cfg.sni2_rewrite,
             input_capacity=cfg.sni_input_capacity,
@@ -398,7 +357,6 @@ class Simulator:
             self.delivery_log.setdefault(key, []).append(msg.canonical_text())
 
     def _deliver_chiplet(self, chiplet: int, packet: Packet, tick: int) -> None:
-        self.delivered_packets += 1
         msg = packet.msg
         if packet.target_chiplet is not None and msg.msg_type in (
             MsgType.PROBE, MsgType.PROBE_INV
@@ -419,20 +377,12 @@ class Simulator:
         # should make this unreachable for well-formed systems
 
     def _deliver_mc(self, mc: int, packet: Packet, tick: int) -> None:
-        self.delivered_packets += 1
         self._log_delivery(f"mc{mc}", packet.msg)
         if packet.malicious:
             self.leaked_deliveries += 1
         self.directories[mc].deliver(packet.msg, tick)
 
     # -- loop -------------------------------------------------------------
-
-    def _inflight(self) -> int:
-        dropped = sum(
-            u.stats.rewrites
-            for u in self.fabric.mc_snis.values()
-        )
-        return len(self.fabric.registry) - self.delivered_packets - dropped
 
     def _post(self, core: Core, earliest: int) -> None:
         """Schedule core's next step at its wake tick, but not before
@@ -514,7 +464,8 @@ class Simulator:
                 icycle = tick // CLOCK_RATIO
                 self._apply_permission_updates(icycle)
                 for directory in self._dir_order:
-                    progressed |= directory.step(icycle)
+                    if directory.inbox or directory.dram_events:
+                        progressed |= directory.step(icycle)
                 violations, moved = self.fabric.step_interposer(tick)
                 progressed |= moved
                 if violations:
@@ -551,7 +502,7 @@ class Simulator:
                 halted = True
                 break
 
-            if tick % 8 == 0 and self._inflight() == 0 and self._dirs_idle():
+            if tick % 8 == 0 and not self.fabric.registry and self._dirs_idle():
                 if (
                     self._all_cores_done()
                     and not self._attack_queue
@@ -606,7 +557,7 @@ class Simulator:
         counters = {
             "transactions": sum(c.stats_transactions for c in self.cores.values()),
             "retries": sum(c.stats_retries for c in self.cores.values()),
-            "commits": len(self.oracle.log),
+            "commits": self.oracle.commits,
             "probes_delivered": {
                 str(k): v for k, v in sorted(self.probes_delivered.items())
             },
@@ -622,14 +573,14 @@ class Simulator:
             halt_tick=self.halt_tick,
             halt_detail=self.halt_detail,
             violations=[json.loads(v.to_json()) for v in self.violations],
-            latency=collect_latency(self.fabric.registry),
+            latency=self.fabric.latency.summary(),
             sni=self._sni_summary(),
             counters=counters,
             ledger=self.fabric.ledger(),
             coherence={
                 "swmr_violations": list(self.swmr.violations) + full_census,
                 "oracle_divergences": list(self.oracle.divergences),
-                "commits": len(self.oracle.log),
+                "commits": self.oracle.commits,
             },
             delivery_log=(
                 {k: list(v) for k, v in sorted(self.delivery_log.items())}
@@ -641,7 +592,3 @@ class Simulator:
 
 def run_config(cfg: RunConfig) -> SimReport:
     return Simulator(cfg).run()
-
-
-def with_sni(cfg: RunConfig, enabled: bool) -> RunConfig:
-    return replace(cfg, sni_enabled=enabled, label=f"{cfg.label}-sni-{'on' if enabled else 'off'}")

@@ -8,7 +8,7 @@ of the carrying link's width (64 or 128 bits), low bits first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum, IntEnum
 
 LINK_WIDTHS = (64, 128)
@@ -169,10 +169,6 @@ class CoherenceMessage:
         return errors
 
     @property
-    def carries_data(self) -> bool:
-        return self.data_block is not None
-
-    @property
     def type_name(self) -> str:
         try:
             return MsgType(self.msg_type).name
@@ -186,9 +182,6 @@ class CoherenceMessage:
             f" vnet={self.vnet} addr={self.address:#018x}"
             f" owner={self.cur_owner} dirty={int(self.dirty)} data={data}"
         )
-
-    def with_data(self, data: bytes) -> "CoherenceMessage":
-        return replace(self, data_block=data)
 
 
 class FlitPosition(Enum):

@@ -18,7 +18,9 @@ never interleave on a link.
 
 from __future__ import annotations
 
+import math
 from collections import deque
+from functools import partial
 
 from .messages import CHIPLET_LINK_BITS, CoherenceMessage, Flit, FlitPosition, encode
 from .sni import SniUnit
@@ -87,6 +89,61 @@ class Packet:
         self.loopback = False
 
 
+def nearest_rank(count: int, fraction: float) -> int:
+    """1-based nearest rank of ``fraction`` among ``count`` values."""
+    return min(max(1, math.ceil(count * fraction)), count)
+
+
+class LatencyStats:
+    """Running sums and an exact histogram of totals over delivered mesh
+    packets (loopback left out).  queuing (injection until the head is
+    granted onto the first mesh router, checker pipeline included) +
+    in_network (mesh grant to tail delivery) = total, per packet and so
+    in the means."""
+
+    __slots__ = ("packets", "queuing", "in_network", "hops", "totals")
+
+    def __init__(self):
+        self.packets = self.queuing = self.in_network = self.hops = 0
+        self.totals: dict[int, int] = {}  # total latency -> packets
+
+    def add(self, packet: Packet) -> None:
+        if packet.loopback:
+            return
+        q = packet.first_grant_tick - packet.inject_tick
+        n = packet.deliver_tick - packet.first_grant_tick
+        self.packets += 1
+        self.queuing += q
+        self.in_network += n
+        self.hops += packet.hops
+        self.totals[q + n] = self.totals.get(q + n, 0) + 1
+
+    def percentile(self, fraction: float) -> int:
+        """Nearest-rank percentile of the totals, 0 if there are none."""
+        rank = nearest_rank(self.packets, fraction)
+        seen = 0
+        for total in sorted(self.totals):
+            seen += self.totals[total]
+            if seen >= rank:
+                return total
+        return 0
+
+    def summary(self) -> dict:
+        count = self.packets
+        if count == 0:
+            return {"packets": 0}
+        return {
+            "packets": count,
+            "mean_queuing": round(self.queuing / count, 6),
+            "mean_in_network": round(self.in_network / count, 6),
+            "mean_total": round((self.queuing + self.in_network) / count, 6),
+            "mean_hops": round(self.hops / count, 6),
+            "p50_total": self.percentile(0.50),
+            "p95_total": self.percentile(0.95),
+            "p99_total": self.percentile(0.99),
+        }
+
+
 class Router:
     """One mesh router: input-buffered, per-output wormhole arbitration.
 
@@ -106,7 +163,7 @@ class Router:
         self.last_grant: list = [None] * 5
         self.neighbors: list = [None] * 5  # Router per out-port index
         self.route_table: dict[int, int] = {}  # dest router id -> out-port idx
-        self.local_sink = None  # sink(flit, packet, tick) -> bool
+        self.local_sink = None  # sink(flit, packet, tick); never refuses
         self.trace = None  # trace(tick, packet, flit, link_label) or None
 
     def finish_wiring(self) -> None:
@@ -132,12 +189,9 @@ class Router:
     def _try_send(self, out: int, key: tuple[int, int, int], tick: int) -> bool:
         q = self.buffers[key]
         flit, packet = q[0]
-        if out == _LOCAL_IDX:
-            ok = self.local_sink(flit, packet, tick)
-        else:
-            nb = self.neighbors[out]
-            ok = nb.accept(_OPP_IDX[out], key[1], key[2], flit, packet, tick)
-        if not ok:
+        if out != _LOCAL_IDX and not self.neighbors[out].accept(
+            _OPP_IDX[out], key[1], key[2], flit, packet, tick
+        ):
             return False
         q.popleft()
         if not q:
@@ -151,6 +205,9 @@ class Router:
             self.locks[out] = None
         elif pos is _TAIL:
             self.locks[out] = None
+        if out == _LOCAL_IDX:
+            # After the hop count: the sink may deliver the packet.
+            self.local_sink(flit, packet, tick)
         if self.trace is not None:
             label = (
                 f"{self.id}->local" if out == _LOCAL_IDX
@@ -256,14 +313,13 @@ class ChipletIngress:
         self.hub = hub
         self.pieces = 0
 
-    def sink(self, flit: Flit, packet: Packet, tick: int) -> bool:
+    def sink(self, flit: Flit, packet: Packet, tick: int) -> None:
         self.pieces += 1
         if self.pieces < self.ratio:
-            return True
+            return
         self.pieces = 0
         pos = flit.position
         self.hub.ingress.append((tick, packet, pos is _TAIL or pos is _HEAD_TAIL))
-        return True
 
 
 class ChipletHub:
@@ -274,7 +330,7 @@ class ChipletHub:
     def __init__(self, chiplet: int, topo: Topology, deliver):
         self.chiplet = chiplet
         self.topo = topo
-        self.deliver = deliver  # deliver(chiplet, packet, tick)
+        self.deliver = deliver  # deliver(packet, tick)
         self.core_ids = list(topo.core_range(chiplet))
         self.queues: dict[int, deque[Packet]] = {c: deque() for c in self.core_ids}
         # one entry per 128-bit beat: (stamp tick, packet, last beat)
@@ -313,8 +369,7 @@ class ChipletHub:
                 self.ingress.popleft()
                 moved = True
                 if last:
-                    packet.deliver_tick = tick
-                    self.deliver(self.chiplet, packet, tick)
+                    self.deliver(packet, tick)
         src = self._pick_source()
         if src is not None:
             packet = self.queues[src][0]
@@ -345,10 +400,9 @@ class McNi:
     """Memory-controller network interface: native interposer width on
     both directions, egress through the controller's SNI-2."""
 
-    def __init__(self, mc: int, sni: SniUnit, deliver):
-        self.mc = mc
+    def __init__(self, sni: SniUnit, deliver):
         self.sni = sni
-        self.deliver = deliver  # deliver(mc, packet, tick)
+        self.deliver = deliver  # deliver(packet, tick)
         self.queue: deque[Packet] = deque()
 
     def enqueue(self, packet: Packet) -> None:
@@ -364,12 +418,10 @@ class McNi:
             self.queue.popleft()
         return True
 
-    def sink(self, flit: Flit, packet: Packet, tick: int) -> bool:
+    def sink(self, flit: Flit, packet: Packet, tick: int) -> None:
         pos = flit.position
         if pos is _TAIL or pos is _HEAD_TAIL:
-            packet.deliver_tick = tick
-            self.deliver(self.mc, packet, tick)
-        return True
+            self.deliver(packet, tick)
 
 
 class Fabric:
@@ -392,11 +444,15 @@ class Fabric:
         egress_cap: int = 2,
         enable_trace: bool = False,
     ):
-        """sni_factory(kind, router_id, index, forward, spawn) -> SniUnit."""
+        """sni_factory(kind, router_id, index, forward, drop) -> SniUnit."""
         self.topo = topo
         self.iw = interposer_width
         self.vc_per_vnet = vc_per_vnet
-        self.registry: list[Packet] = []
+        # The live packets: made and neither delivered nor dropped yet.
+        self.registry: dict[int, Packet] = {}
+        self.flits_injected = 0
+        self.delivered = self.flits_delivered = self.dropped = 0
+        self.latency = LatencyStats()
         self.trace_events: list[tuple[int, int, str]] | None = (
             [] if enable_trace else None
         )
@@ -425,8 +481,8 @@ class Fabric:
         self.chiplet_snis: dict[int, SniUnit] = {}
         for k in range(topo.n_chiplets):
             rid = topo.chiplet_router(k)
-            hub = ChipletHub(k, topo, deliver_chiplet)
-            sni = sni_factory("sni1", rid, k, self._make_forward(rid), self._spawn)
+            hub = ChipletHub(k, topo, partial(self._deliver, deliver_chiplet, k))
+            sni = sni_factory("sni1", rid, k, self._make_forward(rid), self._drop)
             boundary = ChipletBoundary(k, interposer_width, sni, egress_cap)
             hub.boundary = boundary
             self.routers[rid].local_sink = ChipletIngress(k, interposer_width, hub).sink
@@ -438,8 +494,8 @@ class Fabric:
         self.mc_snis: dict[int, SniUnit] = {}
         for m in range(topo.n_mcs):
             rid = topo.mc_router(m)
-            sni = sni_factory("sni2", rid, m, self._make_forward(rid), self._spawn)
-            ni = McNi(m, sni, deliver_mc)
+            sni = sni_factory("sni2", rid, m, self._make_forward(rid), self._drop)
+            ni = McNi(sni, partial(self._deliver, deliver_mc, m))
             self.routers[rid].local_sink = ni.sink
             self.mc_nis[m] = ni
             self.mc_snis[m] = sni
@@ -471,7 +527,8 @@ class Fabric:
         packet.malicious = malicious
         packet.flits = encode(msg, self.iw, pid)
         packet.flit_total = len(packet.flits)
-        self.registry.append(packet)
+        self.flits_injected += packet.flit_total
+        self.registry[pid] = packet
         return packet
 
     def inject_from_core(
@@ -509,12 +566,28 @@ class Fabric:
         self.mc_nis[mc].enqueue(packet)
         return packet
 
-    def _spawn(self, msg: CoherenceMessage, src_node: int, dest_node: int, icycle: int) -> Packet:
-        """An SNI-2 rewrite's replacement packet, encoded like any other."""
+    def _deliver(self, callback, index: int, packet: Packet, tick: int) -> None:
+        """Retire a packet whose last beat or flit a hub or MC NI took,
+        then ``callback(index, packet, tick)``."""
+        packet.deliver_tick = tick
+        del self.registry[packet.pid]
+        self.delivered += 1
+        self.flits_delivered += packet.flit_total
+        self.latency.add(packet)
+        callback(index, packet, tick)
+
+    def _drop(self, packet: Packet, icycle: int, replacement=None, dest_node=None):
+        """Retire a packet that an SNI discards.  For an SNI-2 rewrite,
+        return the replacement message's packet, encoded like any other."""
+        packet.dropped = True
+        del self.registry[packet.pid]
+        self.dropped += 1
+        if replacement is None:
+            return None
         tick = icycle * CLOCK_RATIO
-        packet = self.new_packet(msg, src_node, dest_node, tick)
-        packet.first_grant_tick = tick
-        return packet
+        new = self.new_packet(replacement, replacement.requester_id, dest_node, tick)
+        new.first_grant_tick = tick
+        return new
 
     # -- wiring helpers ---------------------------------------------------
 
@@ -582,22 +655,33 @@ class Fabric:
     # -- accounting -------------------------------------------------------
 
     def ledger(self) -> dict:
-        delivered = dropped = in_flight = flits_in = flits_out = 0
-        for p in self.registry:
-            flits_in += p.flit_total
-            if p.dropped:
-                dropped += 1
-            elif p.deliver_tick >= 0:
-                delivered += 1
-                flits_out += p.flit_total
-            else:
-                in_flight += 1
+        live = len(self.registry)
         return {
-            "packets_injected": len(self.registry),
-            "packets_delivered": delivered,
-            "packets_dropped": dropped,
-            "packets_in_flight": in_flight,
-            "flits_injected": flits_in,
-            "flits_delivered": flits_out,
-            "balanced": delivered + dropped + in_flight == len(self.registry),
+            "packets_injected": self._next_pid,
+            "packets_delivered": self.delivered,
+            "packets_dropped": self.dropped,
+            "packets_in_flight": live,
+            "flits_injected": self.flits_injected,
+            "flits_delivered": self.flits_delivered,
+            "balanced": self._next_pid == self.delivered + self.dropped + live
+            and self._held() == self.registry.keys(),
         }
+
+    def _held(self) -> set[int]:
+        """Pids of the undropped packets that some buffer still holds."""
+        held = []
+        for hub in self._hub_order:
+            for queue in hub.queues.values():
+                held.extend(queue)
+            held.extend(p for _, p, _ in hub.ingress)
+        for boundary in self._boundary_order:
+            held.extend(p for _, p in boundary.egress)
+            held.extend(p for _, p in boundary.pending)
+        for sni in self._sni_order:
+            held.extend(entry.packet for entry in sni.inflight)
+        for router in self._routers_order:
+            for queue in router.buffers.values():
+                held.extend(p for _, p in queue)
+        for ni in self._mc_ni_order:
+            held.extend(ni.queue)
+        return {p.pid for p in held if not p.dropped}

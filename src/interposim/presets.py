@@ -20,10 +20,6 @@ NA = Permission.NO_ACCESS
 
 # --- permission tables ---------------------------------------------------
 
-def all_rw_table(n_regions: int = 64, region_shift: int = 26) -> ApuTable:
-    return ApuTable.uniform(RW, n_regions, region_shift)
-
-
 def private_regions_table(
     n_chiplets: int = 8, n_regions: int = 64, region_shift: int = 26
 ) -> ApuTable:

@@ -314,7 +314,7 @@ class SniUnit:
         width: int,
         table_getter,
         forward,
-        spawn_packet=None,
+        drop_packet=None,
         enabled: bool = True,
         rewrite_enabled: bool = True,
         input_capacity: int = 24,
@@ -323,9 +323,10 @@ class SniUnit:
         self.width = width
         self.table_getter = table_getter
         self.forward = forward
-        # spawn_packet(msg, src_node, dest_node, cycle) -> a new packet
-        # whose flits are already encoded at this unit's width
-        self.spawn_packet = spawn_packet
+        # drop_packet(packet, cycle, replacement=None, dest_node=None)
+        # retires a discarded packet; given a replacement message, it
+        # returns that message's new packet, encoded at this unit's width
+        self.drop_packet = drop_packet
         self.enabled = enabled
         self.rewrite_enabled = rewrite_enabled
         self.capacity = input_capacity
@@ -333,14 +334,13 @@ class SniUnit:
         self.inflight: deque[_Progress] = deque()
         self.held = 0
         self.stats = SniStats()
-        self._poisoned: set[int] = set()
 
     def can_accept(self) -> bool:
         return self.held < self.capacity
 
     def push(self, flit: Flit, packet, cycle: int) -> None:
-        if packet.pid in self._poisoned:
-            return
+        if packet.dropped:
+            return  # the rest of a packet judged a violation
         if not self.inflight or self.inflight[-1].packet.pid != packet.pid:
             self.inflight.append(_Progress(packet, packet.flit_total))
         entry = self.inflight[-1]
@@ -380,10 +380,8 @@ class SniUnit:
         per = self.stats.filtered_per_chiplet
         per[chiplet] = per.get(chiplet, 0) + 1
         self.held -= entry.arrived
-        entry.packet.dropped = True
-        new_packet = self.spawn_packet(
-            verdict.replacement, verdict.replacement.requester_id,
-            verdict.new_destination, cycle,
+        new_packet = self.drop_packet(
+            entry.packet, cycle, verdict.replacement, verdict.new_destination
         )
         flits = new_packet.flits
         entry.packet = new_packet
@@ -417,8 +415,7 @@ class SniUnit:
                 )
                 self.stats.violations += 1
                 self.held -= entry.arrived
-                entry.packet.dropped = True
-                self._poisoned.add(entry.packet.pid)
+                self.drop_packet(entry.packet, cycle)
                 self.inflight.popleft()
                 continue
             if entry.verdict.outcome is VerdictKind.REWRITE and not entry.rewritten:

@@ -11,9 +11,11 @@ from dataclasses import replace
 from interposim import presets
 from interposim.apu import ApuTable, Permission
 from interposim.attacks import standard_suite
-from interposim.harness import EXIT_SECURITY, Simulator, with_sni
+from interposim.harness import EXIT_SECURITY, Simulator
 from interposim.messages import MsgType, control_flit_count
 from interposim.workloads import WorkloadSpec
+
+from helpers import record_packets, with_sni
 
 
 def _announce(capsys, num, label, passed, detail=""):
@@ -38,13 +40,14 @@ def test_criterion_1_threat_coverage(capsys):
     for scenario in suite:
         sim = Simulator(replace(base, attacks=(scenario,),
                                 label=f"attack-{scenario.name}"))
+        packets = record_packets(sim)
         report = sim.run()
         detected = report.violations[0]["threat"] if report.violations else None
         if (report.halt_cause == "security"
                 and report.exit_code == EXIT_SECURITY
                 and detected == scenario.expected_threat.value):
             correct += 1
-        bad_pids = {p.pid for p in sim.fabric.registry if p.malicious}
+        bad_pids = {p.pid for p in packets if p.malicious}
         leaked += sum(1 for e in sim.fabric.trace_events if e[1] in bad_pids)
         leaked += sim.leaked_deliveries
     _announce(
@@ -69,6 +72,7 @@ def test_criterion_2_snooping_prevention(capsys):
     )
     t0 = time.time()
     sim = Simulator(cfg)
+    packets = record_packets(sim)
     report = sim.run()
     dt = time.time() - t0
     txns = report.counters["transactions"]
@@ -79,7 +83,7 @@ def test_criterion_2_snooping_prevention(capsys):
     )
     rep_core = cfg.topology().rep_core(observer)
     nacks_delivered = sum(
-        1 for p in sim.fabric.registry
+        1 for p in packets
         if p.deliver_tick >= 0 and p.msg.msg_type is MsgType.NACK
         and p.msg.requester_id == rep_core
     )
@@ -140,9 +144,10 @@ def test_criterion_4_sni_latency_exact(capsys):
             label="sni-latency",
         )
         sim = Simulator(cfg)
+        packets = record_packets(sim)
         report = sim.run()
-        d1 = {p.sni_delay for p in sim.fabric.registry if p.sni_kind == "sni1"}
-        d2 = {p.sni_delay for p in sim.fabric.registry if p.sni_kind == "sni2"}
+        d1 = {p.sni_delay for p in packets if p.sni_kind == "sni1"}
+        d2 = {p.sni_delay for p in packets if p.sni_kind == "sni2"}
         units1 = sum(1 for u in sim.fabric.chiplet_snis.values() if u.stats.checked)
         units2 = sum(1 for u in sim.fabric.mc_snis.values() if u.stats.checked)
         ok &= (report.halt_cause == "completed" and not report.violations

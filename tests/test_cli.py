@@ -117,6 +117,25 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "bad record" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "record", [None, "0 0 X 0x80", "0 999 R 0x80"],
+        ids=["missing-file", "bad-record", "unknown-core"],
+    )
+    def test_bad_trace_file_fails_validation(self, tmp_path, capsys, record):
+        """A missing trace file, a bad record and an unknown core fail
+        validation as they fail a run."""
+        path = tmp_path / "trace.txt"
+        if record is not None:
+            path.write_text(record + "\n", encoding="utf-8")
+        code = main([
+            "validate-config", "--preset", "desk-scale", "--workload", "trace",
+            "--trace", str(path),
+        ])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "configuration ok" not in captured.out
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
     def test_bad_permission_directive(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
         path.write_text("garbage line here\n", encoding="utf-8")

@@ -78,6 +78,11 @@ def _permission_update():
     )
 
 
+def _budget_halt():
+    """The cycle budget runs out with nine packets still in flight."""
+    return replace(presets.desk_scale(seed=0), max_ticks=500, label="budget-halt")
+
+
 CONFIGS = {
     "desk-scale-w64": lambda: presets.desk_scale(seed=0),
     "desk-scale-w128": _desk_w128,
@@ -85,6 +90,7 @@ CONFIGS = {
     "observer-sharing": _observer_sharing,
     "attack-halt": _attack_halt,
     "permission-update": _permission_update,
+    "budget-halt": _budget_halt,
 }
 
 

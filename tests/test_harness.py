@@ -3,6 +3,7 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from interposim import presets
 from interposim.apu import Permission
@@ -14,13 +15,13 @@ from interposim.harness import (
     ConfigError,
     RunConfig,
     Simulator,
-    collect_latency,
     percentile,
-    with_sni,
 )
-from interposim.noc import Packet
+from interposim.noc import LatencyStats, Packet
 from interposim.messages import CoherenceMessage, MsgType
 from interposim.workloads import WorkloadSpec
+
+from helpers import record_packets, with_sni
 
 
 class TestConfigValidation:
@@ -52,6 +53,13 @@ class TestConfigValidation:
             Simulator(RunConfig(interposer_width=96))
 
 
+def _packet(inject, grant, deliver, hops):
+    p = Packet(0, CoherenceMessage(MsgType.GETS, 0, 64, 0, 0), 0, 64, 0)
+    p.inject_tick, p.first_grant_tick = inject, grant
+    p.deliver_tick, p.hops = deliver, hops
+    return p
+
+
 class TestLatencyAggregation:
     def test_percentile_nearest_rank(self):
         values = [10, 20, 30, 40, 50, 60, 70, 80, 90, 100]
@@ -60,16 +68,20 @@ class TestLatencyAggregation:
         assert percentile(values, 0.99) == 100
         assert percentile([], 0.5) == 0
 
-    def test_decomposition_sums(self):
-        def packet(inject, grant, deliver, hops):
-            p = Packet(0, CoherenceMessage(MsgType.GETS, 0, 64, 0, 0), 0, 64, 0)
-            p.inject_tick, p.first_grant_tick = inject, grant
-            p.deliver_tick, p.hops = deliver, hops
-            return p
+    @given(st.lists(st.integers(min_value=0, max_value=60)))
+    def test_histogram_percentiles_match_sorted_list(self, values):
+        """Empty, single and repeated totals included."""
+        latency = LatencyStats()
+        for total in values:
+            latency.add(_packet(0, 0, total, 1))
+        for fraction in (0.50, 0.95, 0.99):
+            assert latency.percentile(fraction) == percentile(sorted(values), fraction)
 
-        stats = collect_latency([
-            packet(0, 8, 20, 3), packet(4, 8, 40, 5),
-        ])
+    def test_decomposition_sums(self):
+        latency = LatencyStats()
+        for p in (_packet(0, 8, 20, 3), _packet(4, 8, 40, 5)):
+            latency.add(p)
+        stats = latency.summary()
         assert stats["packets"] == 2
         assert stats["mean_queuing"] + stats["mean_in_network"] == pytest.approx(
             stats["mean_total"]
@@ -78,11 +90,11 @@ class TestLatencyAggregation:
         assert stats["mean_hops"] == 4.0
 
     def test_dropped_and_loopback_excluded(self):
-        p = Packet(0, CoherenceMessage(MsgType.GETS, 0, 64, 0, 0), 0, 64, 0)
-        p.inject_tick, p.first_grant_tick, p.deliver_tick = 0, 1, 2
+        p = _packet(0, 1, 2, 0)
         p.loopback = True
-        assert collect_latency([p]) == {"packets": 0}
-        assert collect_latency([p], include_loopback=True)["packets"] == 1
+        latency = LatencyStats()
+        latency.add(p)
+        assert latency.summary() == {"packets": 0}
 
 
 class TestRunOutcomes:
@@ -98,6 +110,11 @@ class TestRunOutcomes:
         assert lat["mean_queuing"] + lat["mean_in_network"] == pytest.approx(
             lat["mean_total"], abs=1e-6
         )
+
+    def test_completed_run_keeps_no_packet(self):
+        sim = Simulator(presets.desk_scale(seed=1))
+        assert sim.run().halt_cause == "completed"
+        assert len(sim.fabric.registry) == 0
 
     def test_security_halt_exit_two(self):
         table = presets.attack_demo_table()
@@ -120,6 +137,10 @@ class TestRunOutcomes:
         assert report.exit_code == EXIT_DEADLOCK
         assert report.halt_tick == 500
         assert report.counters["commits"] == 8
+        # Nine packets are live at the halt; every one of them is held
+        # in some buffer.
+        assert report.ledger["packets_in_flight"] == 9
+        assert report.ledger["balanced"]
 
     def test_report_json_is_stable(self):
         cfg = presets.desk_scale(seed=3)
@@ -129,9 +150,10 @@ class TestRunOutcomes:
 
     def test_sni_delay_fields_reported(self):
         sim = Simulator(presets.desk_scale(seed=0))
+        packets = record_packets(sim)
         report = sim.run()
         assert report.halt_cause == "completed"
-        kinds = {p.sni_kind for p in sim.fabric.registry if p.sni_kind}
+        kinds = {p.sni_kind for p in packets if p.sni_kind}
         assert kinds == {"sni1", "sni2"}
 
     def test_delivery_log_collection(self):

@@ -116,10 +116,8 @@ class FabricHarness:
 
     def _recording(self, sink):
         def record(flit, packet, tick):
-            ok = sink(flit, packet, tick)
-            if ok:
-                self.sunk.setdefault(packet.pid, []).append(flit)
-            return ok
+            sink(flit, packet, tick)
+            self.sunk.setdefault(packet.pid, []).append(flit)
 
         return record
 
@@ -140,8 +138,8 @@ class FabricHarness:
     def _deliver_mc(self, mc, packet, tick):
         self.mc_rx.append((tick, mc, packet.msg))
 
-    def run(self, ticks: int):
-        for tick in range(ticks):
+    def run(self, ticks: int, start: int = 0):
+        for tick in range(start, ticks):
             if tick % CLOCK_RATIO == 0:
                 violations, _ = self.fabric.step_interposer(tick)
                 assert not violations
@@ -264,6 +262,53 @@ class TestFabricTransport:
         assert ledger["packets_delivered"] == 16
         assert ledger["packets_in_flight"] == 0
         assert ledger["flits_delivered"] == ledger["flits_injected"]
+
+    def test_balanced_at_every_tick(self, topo8):
+        """Data each way and a loopback: at every tick, the live packets
+        are exactly those that some buffer holds."""
+        h = make_harness(topo8, 64)
+        block = bytes(range(64))
+        h.fabric.inject_from_core(CoherenceMessage(
+            MsgType.WRITEBACK_DATA, 9, 66, 2, 0x1234C0, dirty=True,
+            data_block=block), 0)
+        h.fabric.inject_from_core(CoherenceMessage(
+            MsgType.DATA, 1, 3, 2, 0x40, data_block=block), 0)
+        h.fabric.inject_from_mc(CoherenceMessage(
+            MsgType.MEMORY_DATA, 64, 42, 2, 0x80, cur_owner=8,
+            data_block=block), 0, 0)
+        in_flight = []
+        for tick in range(100):
+            h.run(tick + 1, start=tick)
+            ledger = h.fabric.ledger()
+            assert ledger["balanced"], tick
+            in_flight.append(ledger["packets_in_flight"])
+        assert in_flight[0] == 3 and in_flight[-1] == 0
+
+    def test_packet_lost_from_a_router_buffer_unbalances(self, topo8):
+        h = make_harness(topo8, 128)
+        packet = h.fabric.inject_from_core(
+            CoherenceMessage(MsgType.GETS, 9, 66, 0, 0x1234C0), 0
+        )
+        h.run(18)  # the single flit waits in a mesh router
+        queues = [q for r in h.fabric.routers.values()
+                  for q in r.buffers.values() if q]
+        assert [p for q in queues for _, p in q] == [packet]
+        assert h.fabric.ledger()["balanced"]
+        queues[0].clear()
+        ledger = h.fabric.ledger()
+        assert ledger["packets_in_flight"] == 1 and not ledger["balanced"]
+
+    def test_delivery_that_skips_the_fabric_unbalances(self, topo8):
+        h = make_harness(topo8, 128)
+        ni = h.fabric.mc_nis[2]
+        ni.deliver = lambda packet, tick: h._deliver_mc(2, packet, tick)
+        h.fabric.inject_from_core(
+            CoherenceMessage(MsgType.GETS, 9, 66, 0, 0x1234C0), 0
+        )
+        h.run(100)
+        assert len(h.mc_rx) == 1
+        ledger = h.fabric.ledger()
+        assert ledger["packets_in_flight"] == 1 and not ledger["balanced"]
 
     def test_latency_stamps_and_clock_domains(self, topo8):
         h = make_harness(topo8, 128)

@@ -214,7 +214,7 @@ class _Harness:
             cfg, width,
             table_getter=lambda: self.table,
             forward=self._forward,
-            spawn_packet=self._spawn,
+            drop_packet=self._drop,
             enabled=enabled,
         )
         self.topo = topo
@@ -224,8 +224,13 @@ class _Harness:
         self.out.append((self.cycle, flit, packet))
         return True
 
-    def _spawn(self, msg, src, dest, cycle):
-        packet = Packet(self._next_pid, msg, src, dest, 0)
+    def _drop(self, dropped, cycle, msg=None, dest=None):
+        """Retire ``dropped``, as the fabric does; a rewrite's NACK comes
+        back as a new packet."""
+        dropped.dropped = True
+        if msg is None:
+            return None
+        packet = Packet(self._next_pid, msg, msg.requester_id, dest, 0)
         self._next_pid += 1
         packet.flits = encode(msg, self.unit.width, packet.pid)
         packet.flit_total = len(packet.flits)
