@@ -229,8 +229,9 @@ class Directory:
         self.busy: dict[int, int] = {}
         self.entries: dict[int, DirEntry] = {}
         self.inbox: deque[tuple[CoherenceMessage, int]] = deque()
-        self.dram_events: list[tuple[int, int, int, int, int]] = []
-        self._seq = 0
+        # (due icycle, address, requester, probes sent), in due order:
+        # icycle never decreases and the latency is fixed.
+        self.dram_events: deque[tuple[int, int, int, int]] = deque()
         self.stats_strays = 0
 
     @property
@@ -284,9 +285,8 @@ class Directory:
                 )
             else:
                 n = self._probe(probe, address, requester, range(self.topo.n_chiplets))
-                self._seq += 1
                 self.dram_events.append(
-                    (icycle + self.dram_latency, self._seq, address, requester, n)
+                    (icycle + self.dram_latency, address, requester, n)
                 )
         elif mtype is MsgType.PUT:
             if address in self.busy:
@@ -321,25 +321,21 @@ class Directory:
             msg, _ = self.inbox.popleft()
             self._handle_request(msg, icycle)
             progressed = True
-        if self.dram_events:
-            due = [e for e in self.dram_events if e[0] <= icycle]
-            if due:
-                due.sort()
-                remaining = [e for e in self.dram_events if e[0] > icycle]
-                for _, _, address, requester, n in due:
-                    self.send(
-                        CoherenceMessage(
-                            MsgType.MEMORY_DATA,
-                            self.node,
-                            requester,
-                            2,
-                            address,
-                            cur_owner=n,
-                            data_block=self.dram.read(address),
-                        )
-                    )
-                self.dram_events = remaining
-                progressed = True
+        events = self.dram_events
+        while events and events[0][0] <= icycle:
+            _, address, requester, n = events.popleft()
+            self.send(
+                CoherenceMessage(
+                    MsgType.MEMORY_DATA,
+                    self.node,
+                    requester,
+                    2,
+                    address,
+                    cur_owner=n,
+                    data_block=self.dram.read(address),
+                )
+            )
+            progressed = True
         return progressed
 
 

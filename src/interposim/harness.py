@@ -7,8 +7,8 @@ a single global tick counter in a fixed order, so a (config, seed) pair
 reproduces byte-identical reports.  Within one tick:
 
 1. every fourth tick (one interposer cycle): permission updates, the
-   directories with a message or a DRAM event pending, in controller
-   order, then the interposer fabric;
+   directories with a message pending or a DRAM event due, in
+   controller order, then the interposer fabric;
 2. the chiplet hubs, which deliver packets to cores and agents;
 3. the attacks whose trigger tick has come;
 4. the cores whose wake tick has come, in core-id order.
@@ -125,7 +125,7 @@ class RunConfig:
             n_regions = table.n_regions if table else 64
             if not 0 <= region < n_regions:
                 errors.append(f"permission update region {region} out of range")
-            if not 0 <= chiplet < 8:
+            if not 0 <= chiplet < topo.n_chiplets:
                 errors.append(f"permission update chiplet {chiplet} out of range")
             if not isinstance(perm, Permission):
                 errors.append(f"permission update value {perm!r} invalid")
@@ -464,7 +464,8 @@ class Simulator:
                 icycle = tick // CLOCK_RATIO
                 self._apply_permission_updates(icycle)
                 for directory in self._dir_order:
-                    if directory.inbox or directory.dram_events:
+                    events = directory.dram_events
+                    if directory.inbox or (events and events[0][0] <= icycle):
                         progressed |= directory.step(icycle)
                 violations, moved = self.fabric.step_interposer(tick)
                 progressed |= moved

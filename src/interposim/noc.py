@@ -19,6 +19,7 @@ never interleave on a link.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right, insort
 from collections import deque
 from functools import partial
 
@@ -149,7 +150,21 @@ class Router:
 
     Ports are integer indices (E, W, N, S, LOCAL = 0..4) in the hot
     path; a per-destination routing table is precomputed when the mesh
-    is wired up.
+    is wired up.  An input VC is an int key, ``(port * 4 + vnet) *
+    vc_per_vnet + vc``, which sorts like the (port, vnet, vc) tuple, and
+    each key owns one deque of (flit, packet).
+
+    A cycle costs work in proportion to the flits that can move.
+    ``occupied`` counts the buffered flits, and ``ready[out]`` is the
+    sorted list of keys whose front flit is a head routed to ``out``: a
+    key enters it when a head reaches the front of its VC (on arrival
+    into an empty VC, or when the packet ahead leaves) and leaves it when
+    the head is sent.  A free output grants the first ready key after its
+    last grant, wrapping round; a locked one sends the next flit of its
+    worm.  A flit moves at most once per cycle and never in the cycle it
+    arrived (``stamp`` holds that tick).  A head that reaches the front
+    behind a departing tail has its stamp raised to the current tick, so
+    it too waits for the next cycle, whichever output it is routed to.
     """
 
     def __init__(self, rid: int, topo: Topology, vc_per_vnet: int, vc_depth: int):
@@ -157,10 +172,13 @@ class Router:
         self.topo = topo
         self.vc_per_vnet = vc_per_vnet
         self.vc_depth = vc_depth
-        self.buffers: dict[tuple[int, int, int], deque] = {}
-        self.occupied: set[tuple[int, int, int]] = set()
+        self.buffers: dict[int, deque] = {
+            key: deque() for key in range(5 * 4 * vc_per_vnet)
+        }
+        self.occupied = 0  # buffered flits
+        self.ready: list[list[int]] = [[] for _ in range(5)]
         self.locks: list = [None] * 5
-        self.last_grant: list = [None] * 5
+        self.last_grant = [-1] * 5
         self.neighbors: list = [None] * 5  # Router per out-port index
         self.route_table: dict[int, int] = {}  # dest router id -> out-port idx
         self.local_sink = None  # sink(flit, packet, tick); never refuses
@@ -175,36 +193,45 @@ class Router:
                 self.route_table[dest] = _PORT_IDX[self.topo.route(self.id, dest)]
 
     def accept(self, port_idx: int, vnet: int, vc: int, flit: Flit, packet, tick: int) -> bool:
-        key = (port_idx, vnet, vc)
-        q = self.buffers.get(key)
-        if q is None:
-            q = self.buffers[key] = deque()
+        key = (port_idx * 4 + vnet) * self.vc_per_vnet + vc
+        q = self.buffers[key]
         if len(q) >= self.vc_depth:
             return False
+        if not q:
+            pos = flit.position
+            if pos is _HEAD or pos is _HEAD_TAIL:
+                insort(self.ready[self.route_table[packet.dest_router]], key)
         q.append((flit, packet))
         flit.stamp = tick
-        self.occupied.add(key)
+        self.occupied += 1
         return True
 
-    def _try_send(self, out: int, key: tuple[int, int, int], tick: int) -> bool:
+    def _try_send(self, out: int, key: int, tick: int) -> bool:
         q = self.buffers[key]
         flit, packet = q[0]
         if out != _LOCAL_IDX and not self.neighbors[out].accept(
-            _OPP_IDX[out], key[1], key[2], flit, packet, tick
+            _OPP_IDX[out], packet.vnet, packet.vc, flit, packet, tick
         ):
             return False
         q.popleft()
-        if not q:
-            self.occupied.discard(key)
+        self.occupied -= 1
         pos = flit.position
         if pos is _HEAD:
             packet.hops += 1
+            self.ready[out].remove(key)
             self.locks[out] = key
         elif pos is _HEAD_TAIL:
             packet.hops += 1
+            self.ready[out].remove(key)
             self.locks[out] = None
         elif pos is _TAIL:
             self.locks[out] = None
+        if q and (pos is _TAIL or pos is _HEAD_TAIL):
+            # The next packet's head reaches the front: it may leave no
+            # earlier than the next cycle.
+            head, ahead = q[0]
+            head.stamp = tick
+            insort(self.ready[self.route_table[ahead.dest_router]], key)
         if out == _LOCAL_IDX:
             # After the hop count: the sink may deliver the packet.
             self.local_sink(flit, packet, tick)
@@ -217,52 +244,28 @@ class Router:
         return True
 
     def step(self, tick: int) -> bool:
-        if not self.occupied:
-            return False
         moved = False
-        heads: list[list] = [None] * 5
-        route = self.route_table
         buffers = self.buffers
-        for key in sorted(self.occupied):
-            flit, packet = buffers[key][0]
-            if flit.stamp >= tick:
-                continue
-            pos = flit.position
-            if pos is not _HEAD and pos is not _HEAD_TAIL:
-                continue
-            out = route[packet.dest_router]
-            if heads[out] is None:
-                heads[out] = [key]
-            else:
-                heads[out].append(key)
         for out in range(5):
             lock = self.locks[out]
             if lock is not None:
-                if lock not in self.occupied:
-                    continue  # rest of the worm still upstream
-                flit, _ = buffers[lock][0]
-                if flit.stamp >= tick:
-                    continue
-                if self._try_send(out, lock, tick):
+                q = buffers[lock]
+                # An empty VC: the rest of the worm is still upstream.
+                if q and q[0][0].stamp < tick and self._try_send(out, lock, tick):
                     moved = True
                 continue
-            cands = heads[out]
-            if not cands:
+            ready = self.ready[out]
+            if not ready:
                 continue
-            # Round-robin: first candidate strictly after the last grant,
-            # wrapping to the smallest.
-            last = self.last_grant[out]
-            pick = None
-            if last is not None:
-                for key in cands:
-                    if key > last:
-                        pick = key
-                        break
-            if pick is None:
-                pick = cands[0]
-            if self._try_send(out, pick, tick):
-                self.last_grant[out] = pick
-                moved = True
+            # Round-robin: the first movable key strictly after the last
+            # grant, wrapping to the smallest.
+            split = bisect_right(ready, self.last_grant[out])
+            for key in ready[split:] + ready[:split]:
+                if buffers[key][0][0].stamp < tick:
+                    if self._try_send(out, key, tick):
+                        self.last_grant[out] = key
+                        moved = True
+                    break
         return moved
 
 
@@ -325,20 +328,26 @@ class ChipletIngress:
 class ChipletHub:
     """On-chiplet hub router, collapsed to the boundary-relevant part:
     per-core injection queues arbitrated onto the single chiplet link,
-    plus the ingress stream delivering one 128-bit beat per tick."""
+    plus the ingress stream delivering one 128-bit beat per tick.
+
+    ``waiting`` is the sorted list of cores with a queued packet, kept up
+    to date on enqueue and on the pop that empties a queue, so that the
+    round-robin pick is one bisection rather than a scan of every core.
+    """
 
     def __init__(self, chiplet: int, topo: Topology, deliver):
         self.chiplet = chiplet
         self.topo = topo
         self.deliver = deliver  # deliver(packet, tick)
-        self.core_ids = list(topo.core_range(chiplet))
-        self.queues: dict[int, deque[Packet]] = {c: deque() for c in self.core_ids}
+        self.queues: dict[int, deque[Packet]] = {
+            c: deque() for c in topo.core_range(chiplet)
+        }
         # one entry per 128-bit beat: (stamp tick, packet, last beat)
         self.ingress: deque[tuple[int, Packet, bool]] = deque()
         self.boundary: ChipletBoundary | None = None
+        self.waiting: list[int] = []  # cores with a queued packet, sorted
         self.lock: int | None = None
         self.last_grant = -1
-        self.backlog = 0  # queued packets across all cores
 
     def enqueue(self, packet: Packet) -> None:
         """Queue a core packet; one bound for a core of this chiplet is
@@ -347,19 +356,19 @@ class ChipletHub:
         packet.loopback = (
             self.topo.is_core(dest) and self.topo.chiplet_of_core(dest) == self.chiplet
         )
-        self.queues[packet.src_node].append(packet)
-        self.backlog += 1
+        queue = self.queues[packet.src_node]
+        if not queue:
+            insort(self.waiting, packet.src_node)
+        queue.append(packet)
 
     def _pick_source(self) -> int | None:
         if self.lock is not None:
             return self.lock
-        cands = [c for c in self.core_ids if self.queues[c]]
-        if not cands:
+        waiting = self.waiting
+        if not waiting:
             return None
-        for c in cands:
-            if c > self.last_grant:
-                return c
-        return cands[0]
+        i = bisect_right(waiting, self.last_grant)
+        return waiting[i] if i < len(waiting) else waiting[0]
 
     def step(self, tick: int) -> bool:
         moved = False
@@ -389,8 +398,10 @@ class ChipletHub:
                 if last:
                     self.lock = None
                     self.last_grant = src
-                    self.queues[src].popleft()
-                    self.backlog -= 1
+                    queue = self.queues[src]
+                    queue.popleft()
+                    if not queue:
+                        self.waiting.remove(src)
                 else:
                     self.lock = src
         return moved
@@ -648,7 +659,7 @@ class Fabric:
     def step_chiplets(self, tick: int) -> bool:
         moved = False
         for hub in self._hub_order:
-            if hub.ingress or hub.backlog:
+            if hub.ingress or hub.waiting:
                 moved |= hub.step(tick)
         return moved
 

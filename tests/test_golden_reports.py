@@ -83,6 +83,15 @@ def _budget_halt():
     return replace(presets.desk_scale(seed=0), max_ticks=500, label="budget-halt")
 
 
+def _narrow_vcs():
+    """Ten single-flit VCs per vnet: wide VC keys and steady backpressure."""
+    cfg = presets.baseline(64, seed=6)
+    return replace(
+        cfg, vc_per_vnet=10, vc_depth=1,
+        workload=replace(cfg.workload, ops_per_core=6), label="narrow-vcs",
+    )
+
+
 CONFIGS = {
     "desk-scale-w64": lambda: presets.desk_scale(seed=0),
     "desk-scale-w128": _desk_w128,
@@ -91,6 +100,7 @@ CONFIGS = {
     "attack-halt": _attack_halt,
     "permission-update": _permission_update,
     "budget-halt": _budget_halt,
+    "narrow-vcs": _narrow_vcs,
 }
 
 

@@ -48,6 +48,19 @@ class TestConfigValidation:
         cfg = RunConfig(permission_updates=((0, 99, 0, Permission.READ_ONLY),))
         assert cfg.validate()
 
+    def test_permission_update_for_a_missing_chiplet(self):
+        """desk-scale has chiplets 0 and 1 only: an update for chiplet 5
+        would be a silent no-op."""
+        cfg = replace(
+            presets.desk_scale(seed=0),
+            permission_updates=((10, 0, 5, Permission.NO_ACCESS),),
+        )
+        assert cfg.validate() == ["permission update chiplet 5 out of range"]
+        ok = replace(cfg, permission_updates=((10, 0, 1, Permission.NO_ACCESS),))
+        assert ok.validate() == []
+        with pytest.raises(ConfigError):
+            Simulator(cfg)
+
     def test_simulator_rejects_invalid_config(self):
         with pytest.raises(ConfigError):
             Simulator(RunConfig(interposer_width=96))

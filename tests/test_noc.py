@@ -4,12 +4,16 @@ wormhole integrity and flit conservation."""
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from interposim import noc
 from interposim.apu import ApuTable, Permission
+from interposim.harness import VC_CHOICES
 from interposim.messages import CoherenceMessage, MsgType, decode
 from interposim.noc import CHIPLET_LINK_BITS, CLOCK_RATIO, Fabric
 from interposim.sni import SniConfig, SniKind, SniUnit
 from interposim.topology import Port, Topology, TopologyError
+from reference_router import ReferenceRouter
 
 
 class TestTopology:
@@ -96,7 +100,8 @@ class FabricHarness:
     """
 
     def __init__(self, topo: Topology, width: int, sni_enabled: bool = True,
-                 vc_per_vnet: int = 4, vc_depth: int = 4):
+                 vc_per_vnet: int = 4, vc_depth: int = 4,
+                 enable_trace: bool = False):
         self.topo = topo
         self.width = width
         self.table = ApuTable.uniform(Permission.READ_WRITE)
@@ -108,6 +113,7 @@ class FabricHarness:
             sni_factory=self._sni_factory,
             deliver_chiplet=self._deliver_chiplet,
             deliver_mc=self._deliver_mc,
+            enable_trace=enable_trace,
         )
         self.sunk = {}
         for router in self.fabric.routers.values():
@@ -340,3 +346,133 @@ class TestFabricTransport:
     def test_width_ratio(self):
         assert CHIPLET_LINK_BITS == 128
         assert CLOCK_RATIO == 4
+
+
+def _inject(fabric, kind, tick):
+    """One drawn burst of ``count`` packets: cores to the controllers in
+    turn, a controller to cores spread over the chiplets, or a
+    controller's probes broadcast to a set of chiplets."""
+    what, a, b, data, count = kind
+    for i in range(count):
+        address = 0x40 * (1 + a + 8 * i)
+        if what == "core":
+            core = (a + i) % 64
+            if data:
+                msg = CoherenceMessage(
+                    MsgType.WRITEBACK_DATA, core, 64 + (b + i) % 4, 2, address,
+                    dirty=True, data_block=bytes([core] * 64),
+                )
+            else:
+                msg = CoherenceMessage(MsgType.GETS, core, 64 + (b + i) % 4, 0, address)
+            fabric.inject_from_core(msg, tick)
+        elif what == "mc":
+            core = (b + 9 * i) % 64
+            if data:
+                msg = CoherenceMessage(
+                    MsgType.MEMORY_DATA, 64 + a, core, 2, address, cur_owner=1,
+                    data_block=bytes([core] * 64),
+                )
+            else:
+                msg = CoherenceMessage(MsgType.WB_ACK, 64 + a, core, 1, address)
+            fabric.inject_from_mc(msg, a, tick)
+        else:
+            probe = MsgType.PROBE_INV if data else MsgType.PROBE
+            msg = CoherenceMessage(probe, 64 + a, 255, 1, address, cur_owner=i)
+            for chiplet in range(8):
+                if (b >> chiplet) & 1:
+                    fabric.inject_from_mc(msg, a, tick, target_chiplet=chiplet)
+
+
+_INJECTIONS = st.lists(
+    st.tuples(
+        st.integers(0, 8),  # injection tick
+        st.one_of(
+            st.tuples(st.just("core"), st.integers(0, 63), st.integers(0, 3),
+                      st.booleans(), st.integers(1, 8)),
+            st.tuples(st.just("mc"), st.integers(0, 3), st.integers(0, 63),
+                      st.booleans(), st.integers(1, 8)),
+            st.tuples(st.just("probe"), st.integers(0, 3), st.integers(1, 255),
+                      st.booleans(), st.integers(1, 4)),
+        ),
+    ),
+    min_size=8, max_size=32,
+)
+
+
+class TestRouterReference:
+    """``noc.Router`` against ``ReferenceRouter``, the earlier router that
+    sorts and rescans its VCs every cycle: the same flits must cross the
+    same links at the same ticks."""
+
+    @staticmethod
+    def _run(topo, width, vc_per_vnet, vc_depth, injections, router_cls=None):
+        with pytest.MonkeyPatch.context() as mp:
+            if router_cls is not None:
+                mp.setattr(noc, "Router", router_cls)
+            h = make_harness(topo, width, vc_per_vnet=vc_per_vnet,
+                             vc_depth=vc_depth, enable_trace=True)
+        by_tick = {}
+        for tick, kind in injections:
+            by_tick.setdefault(tick, []).append(kind)
+        for tick in range(6000):
+            for kind in by_tick.get(tick, ()):
+                _inject(h.fabric, kind, tick)
+            h.run(tick + 1, start=tick)
+            if tick > 60 and not h.fabric.registry:
+                break
+        assert not h.fabric.registry, "packets still in flight"
+        return h
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        width=st.sampled_from((64, 128)),
+        vc_per_vnet=st.sampled_from(VC_CHOICES),
+        vc_depth=st.sampled_from((1, 2, 4)),
+        injections=_INJECTIONS,
+    )
+    def test_same_trace_as_reference(self, width, vc_per_vnet, vc_depth, injections):
+        topo = Topology(n_chiplets=8, cores_per_chiplet=8, n_mcs=4)
+        new = self._run(topo, width, vc_per_vnet, vc_depth, injections)
+        ref = self._run(topo, width, vc_per_vnet, vc_depth, injections,
+                        ReferenceRouter)
+        assert {type(r) for r in ref.fabric.routers.values()} == {ReferenceRouter}
+        assert {type(r) for r in new.fabric.routers.values()} == {noc.Router}
+        assert new.fabric.trace_events == ref.fabric.trace_events
+        assert new.mc_rx == ref.mc_rx
+        assert new.chiplet_rx == ref.chiplet_rx
+
+    @pytest.mark.parametrize("first", ("data", "control"))
+    def test_head_behind_tail_waits_a_cycle(self, topo8, first):
+        """Two packets share one VC of chiplet 0's router: the first goes
+        east to MC 0, the second north to chiplet 1.  The second head
+        reaches the front when the first packet's tail leaves, and moves
+        one interposer cycle later, although the north port is arbitrated
+        after the east port in the same cycle."""
+        h = make_harness(topo8, 128, vc_depth=8, enable_trace=True)
+        fabric = h.fabric
+        if first == "data":  # its tail leaves through the locked port
+            msg = CoherenceMessage(
+                MsgType.WRITEBACK_DATA, 0, 64, 2, 0x40, dirty=True,
+                data_block=bytes(64),
+            )
+        else:  # a single HEAD_TAIL flit, granted by the free port
+            msg = CoherenceMessage(MsgType.ACK, 0, 64, 2, 0x40)
+        ahead = fabric.new_packet(msg, 0, 64, 0)
+        behind = fabric.new_packet(
+            CoherenceMessage(MsgType.ACK, 0, 8, 2, 0x80), 0, 8, 0
+        )
+        router = fabric.routers[topo8.chiplet_router(0)]
+        for packet in (ahead, behind):
+            packet.vc = 0
+            for flit in packet.flits:
+                assert router.accept(4, 2, 0, flit, packet, 0)
+        h.run(200)
+        east = f"{router.id}->{topo8.mc_router(0)}"
+        north = f"{router.id}->{topo8.chiplet_router(1)}"
+        events = [(t, pid, label) for t, pid, label in fabric.trace_events
+                  if label in (east, north)]
+        ahead_ticks = {"data": [4, 8, 12, 16, 20], "control": [4]}[first]
+        assert events == [
+            *((t, ahead.pid, east) for t in ahead_ticks),
+            (ahead_ticks[-1] + CLOCK_RATIO, behind.pid, north),
+        ]
