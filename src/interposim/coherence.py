@@ -609,10 +609,8 @@ class ChipletAgent:
         self.cores = cores
         self.topo = topo
         self.send = send  # send(msg, tick)
-        self.probes_seen = 0
 
     def handle_probe(self, msg: CoherenceMessage, tick: int) -> None:
-        self.probes_seen += 1
         address = msg.address
         requester = msg.cur_owner
         rep = self.topo.rep_core(self.chiplet)

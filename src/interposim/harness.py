@@ -44,7 +44,7 @@ from .coherence import (
     PrivateCache,
     SwmrChecker,
 )
-from .messages import LINK_WIDTHS, MsgType
+from .messages import ADDRESS_LIMIT, LINK_WIDTHS, MsgType
 from .noc import CLOCK_RATIO, Fabric, Packet, nearest_rank
 from .sni import SniConfig, SniKind, SniUnit
 from .topology import Topology
@@ -89,8 +89,6 @@ class RunConfig:
     dram_latency: int = 100
     retry_backoff_icycles: int = 20
     cache_lines: int = 256
-    sni_input_capacity: int = 24
-    boundary_egress_cap: int = 2
     collect_delivery_log: bool = False
     enable_trace: bool = False
     label: str = "run"
@@ -120,6 +118,11 @@ class RunConfig:
             errors.append("watchdog_icycles must be >= 100")
         if self.max_ticks < 1:
             errors.append("max_ticks must be >= 1")
+        if self.permissions and self.permissions.address_limit > ADDRESS_LIMIT:
+            errors.append(
+                f"permission table covers {self.permissions.address_limit:#x} bytes,"
+                f" beyond the {ADDRESS_LIMIT:#x}-byte address space"
+            )
         for icycle, region, chiplet, perm in self.permission_updates:
             table = self.permissions
             n_regions = table.n_regions if table else 64
@@ -261,7 +264,6 @@ class Simulator:
             sni_factory=self._sni_factory,
             deliver_chiplet=self._deliver_chiplet,
             deliver_mc=self._deliver_mc,
-            egress_cap=cfg.boundary_egress_cap,
             enable_trace=cfg.enable_trace,
         )
         for unit in list(self.fabric.chiplet_snis.values()) + list(
@@ -282,12 +284,13 @@ class Simulator:
         for c in range(topo.n_cores):
             cache = PrivateCache(cfg.cache_lines, self.swmr.update)
             self.cores[c] = Core(
-                c, topo, cache, self._core_send, self.oracle.commit, retry_ticks
+                c, topo, cache, self.fabric.inject_from_core, self.oracle.commit,
+                retry_ticks,
             )
         self.agents = {
             k: ChipletAgent(
                 k, [self.cores[c] for c in topo.core_range(k)], topo,
-                self._core_send,
+                self.fabric.inject_from_core,
             )
             for k in range(topo.n_chiplets)
         }
@@ -313,38 +316,18 @@ class Simulator:
 
     # -- wiring -----------------------------------------------------------
 
-    def _sni_factory(self, kind: str, router_id: int, index: int, forward, drop):
+    def _sni_factory(self, kind: SniKind, index: int, forward, drop) -> SniUnit:
         cfg = self.cfg
-        if kind == "sni1":
-            sni_cfg = SniConfig(
-                kind=SniKind.SNI1,
-                attached_router=router_id,
-                expected_requesters=self.topo.core_range(index),
-                topo=self.topo,
-                check_mc_traffic=cfg.check_mc_traffic,
-            )
-        else:
-            mc_node = self.topo.mc_node(index)
-            sni_cfg = SniConfig(
-                kind=SniKind.SNI2,
-                attached_router=router_id,
-                expected_requesters=range(mc_node, mc_node + 1),
-                topo=self.topo,
-                check_mc_traffic=cfg.check_mc_traffic,
-            )
+        sni_cfg = SniConfig.for_link(kind, index, self.topo, cfg.check_mc_traffic)
         return SniUnit(
             sni_cfg,
             cfg.interposer_width,
-            table_getter=lambda rid=router_id: self.replicas[rid],
+            table_getter=lambda rid=sni_cfg.attached_router: self.replicas[rid],
             forward=forward,
             drop_packet=drop,
             enabled=cfg.sni_enabled,
             rewrite_enabled=cfg.sni2_rewrite,
-            input_capacity=cfg.sni_input_capacity,
         )
-
-    def _core_send(self, msg, tick):
-        self.fabric.inject_from_core(msg, tick)
 
     def _make_dir_send(self, mc: int):
         def send(msg, target_chiplet=None):

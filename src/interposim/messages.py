@@ -202,7 +202,6 @@ class Flit:
     payload: int
     width: int
     position: FlitPosition
-    packet_id: int
     stamp: int = -1
 
     @property
@@ -264,18 +263,7 @@ def _field(word: int, offset: int, width: int) -> int:
     return (word >> offset) & ((1 << width) - 1)
 
 
-def unpack_header(word: int) -> dict:
-    return {
-        "msg_type": _field(word, MSG_TYPE_OFFSET, MSG_TYPE_WIDTH),
-        "requester_id": _field(word, REQUESTER_OFFSET, REQUESTER_WIDTH),
-        "destination_id": _field(word, DESTINATION_OFFSET, DESTINATION_WIDTH),
-        "vnet": _field(word, VNET_OFFSET, VNET_WIDTH),
-        "cur_owner": _field(word, CUR_OWNER_OFFSET, CUR_OWNER_WIDTH),
-        "dirty": bool(_field(word, DIRTY_OFFSET, DIRTY_WIDTH)),
-    }
-
-
-def encode(msg: CoherenceMessage, width: int, packet_id: int = 0) -> list[Flit]:
+def encode(msg: CoherenceMessage, width: int) -> list[Flit]:
     """Segment a message into link flits; raises on field overflow."""
     _check_width(width)
     errors = msg.field_errors()
@@ -302,7 +290,7 @@ def encode(msg: CoherenceMessage, width: int, packet_id: int = 0) -> list[Flit]:
             pos = FlitPosition.TAIL
         else:
             pos = FlitPosition.BODY
-        flits.append(Flit((bits >> (i * width)) & mask, width, pos, packet_id))
+        flits.append(Flit((bits >> (i * width)) & mask, width, pos))
     return flits
 
 
@@ -321,8 +309,8 @@ def decode(stream: list[Flit], width: int) -> CoherenceMessage:
     for i, flit in enumerate(stream):
         bits |= flit.payload << (i * width)
 
-    header = unpack_header(bits & ((1 << HEADER_BITS) - 1))
-    msg_type = header["msg_type"]
+    header = extract_stage(stream, width, 1)
+    msg_type = header.msg_type
     expected = control_flit_count(width)
     data: bytes | None = None
     if msg_type in DATA_CARRYING_TYPES:
@@ -345,12 +333,12 @@ def decode(stream: list[Flit], width: int) -> CoherenceMessage:
     address = (bits >> HEADER_BITS) & ((1 << ADDRESS_BITS) - 1)
     return CoherenceMessage(
         msg_type=msg_type,
-        requester_id=header["requester_id"],
-        destination_id=header["destination_id"],
-        vnet=header["vnet"],
+        requester_id=header.requester_id,
+        destination_id=header.destination_id,
+        vnet=header.vnet,
         address=address,
-        cur_owner=header["cur_owner"],
-        dirty=header["dirty"],
+        cur_owner=header.cur_owner,
+        dirty=header.dirty,
         data_block=data,
     )
 
@@ -368,15 +356,23 @@ def extract_stage(stream: list[Flit], width: int, cycle: int) -> PartialHeader:
     if not stream:
         raise MalformedStreamError("empty flit stream")
 
-    header = unpack_header(stream[0].payload & ((1 << HEADER_BITS) - 1))
+    head = stream[0].payload
     address: int | None = None
     if width == 128:
-        address = stream[0].payload >> HEADER_BITS
+        address = head >> HEADER_BITS
     elif cycle == 2:
         if len(stream) < 2:
             raise MalformedStreamError("address flit missing")
         address = stream[1].payload
-    return PartialHeader(address=address, **header)
+    return PartialHeader(
+        _field(head, MSG_TYPE_OFFSET, MSG_TYPE_WIDTH),
+        _field(head, REQUESTER_OFFSET, REQUESTER_WIDTH),
+        _field(head, DESTINATION_OFFSET, DESTINATION_WIDTH),
+        _field(head, VNET_OFFSET, VNET_WIDTH),
+        _field(head, CUR_OWNER_OFFSET, CUR_OWNER_WIDTH),
+        bool(_field(head, DIRTY_OFFSET, DIRTY_WIDTH)),
+        address,
+    )
 
 
 def golden_line(msg: CoherenceMessage, width: int) -> str:

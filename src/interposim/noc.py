@@ -7,7 +7,9 @@ frequency ratio).  Chiplet links are 128 bits wide; interposer links are
 the SNIs read its header bits; on a chiplet link it moves as a count of
 128-bit beats, each beat standing for ``128 // width`` interposer flits.
 Every ingress link into the interposer passes through an SNI;
-router-to-router links inside the mesh do not.
+router-to-router links inside the mesh do not.  An SNI is handed the
+packet whose next flit arrives, never a flit copy; the hub and the MC NI
+each send one packet at a time and count its beats or flits.
 
 Routers implement wormhole switching with dimension-order (XY) routing,
 four virtual networks and a configurable number of virtual channels per
@@ -24,10 +26,11 @@ from collections import deque
 from functools import partial
 
 from .messages import CHIPLET_LINK_BITS, CoherenceMessage, Flit, FlitPosition, encode
-from .sni import SniUnit
+from .sni import SniKind, SniUnit
 from .topology import Port, Topology, TopologyError
 
 CLOCK_RATIO = 4  # interposer period in chiplet ticks (1 GHz vs 250 MHz)
+EGRESS_CAP = 2  # 128-bit beats a chiplet boundary buffers toward its SNI
 
 _PORT_ORDER = (Port.EAST, Port.WEST, Port.NORTH, Port.SOUTH, Port.LOCAL)
 _PORT_IDX = {p: i for i, p in enumerate(_PORT_ORDER)}
@@ -45,17 +48,14 @@ class Packet:
     """One message in flight, with its flits and latency bookkeeping.
 
     Timestamps are global ticks.  ``flits`` holds the interposer-width
-    encoding, the only one; ``sent128`` counts the 128-bit beats a core
-    packet has sent over its chiplet link and ``sent_iw`` the flits that
-    have entered its ingress SNI.
+    encoding, the only one.
     """
 
     __slots__ = (
         "pid", "msg", "src_node", "dest_node", "target_chiplet", "vnet",
-        "vc", "dest_router", "flits", "flit_total",
-        "sent128", "sent_iw", "inject_tick", "first_grant_tick",
-        "deliver_tick", "hops", "sni_delay", "sni_kind", "dropped",
-        "malicious", "loopback",
+        "vc", "dest_router", "flits", "flit_total", "inject_tick",
+        "first_grant_tick", "deliver_tick", "hops", "sni_delay", "sni_kind",
+        "dropped", "malicious", "loopback",
     )
 
     def __init__(
@@ -77,8 +77,6 @@ class Packet:
         self.dest_router = dest_router
         self.flits: list[Flit] = []
         self.flit_total = 0
-        self.sent128 = 0
-        self.sent_iw = 0
         self.inject_tick = -1
         self.first_grant_tick = -1
         self.deliver_tick = -1
@@ -272,19 +270,19 @@ class Router:
 class ChipletBoundary:
     """Outbound side of one chiplet link: each 128-bit beat from the hub
     releases its ``ratio`` interposer-width flits into the chiplet's
-    SNI-1, one flit per interposer cycle."""
+    SNI-1, one flit per interposer cycle.  ``pending`` holds the packet
+    once per flit still to enter the SNI."""
 
-    def __init__(self, chiplet: int, interposer_width: int, sni: SniUnit, egress_cap: int):
+    def __init__(self, chiplet: int, interposer_width: int, sni: SniUnit):
         self.chiplet = chiplet
         self.ratio = CHIPLET_LINK_BITS // interposer_width
         self.sni = sni
-        self.egress_cap = egress_cap
         # one entry per 128-bit beat: (stamp tick, packet)
         self.egress: deque[tuple[int, Packet]] = deque()
-        self.pending: deque[tuple[Flit, Packet]] = deque()
+        self.pending: deque[Packet] = deque()
 
     def egress_space(self) -> bool:
-        return len(self.egress) < self.egress_cap
+        return len(self.egress) < EGRESS_CAP
 
     def step(self, icycle: int, tick: int) -> bool:
         moved = False
@@ -292,14 +290,10 @@ class ChipletBoundary:
             stamp, packet = self.egress[0]
             if stamp < tick:
                 self.egress.popleft()
-                idx = packet.sent_iw
-                for piece in packet.flits[idx:idx + self.ratio]:
-                    self.pending.append((piece, packet))
-                packet.sent_iw = idx + self.ratio
+                self.pending.extend((packet,) * self.ratio)
                 moved = True
         if self.pending and self.sni.can_accept():
-            flit, packet = self.pending.popleft()
-            self.sni.push(flit, packet, icycle)
+            self.sni.push(self.pending.popleft(), icycle)
             moved = True
         return moved
 
@@ -348,6 +342,7 @@ class ChipletHub:
         self.waiting: list[int] = []  # cores with a queued packet, sorted
         self.lock: int | None = None
         self.last_grant = -1
+        self.sent = 0  # beats sent of the packet that holds the link
 
     def enqueue(self, packet: Packet) -> None:
         """Queue a core packet; one bound for a core of this chiplet is
@@ -384,18 +379,19 @@ class ChipletHub:
             packet = self.queues[src][0]
             loopback = packet.loopback
             if loopback or self.boundary.egress_space():
-                if loopback and packet.sent128 == 0:
+                if loopback and self.sent == 0:
                     # Loopback never reaches the mesh: the hub grant is
                     # its first (and only) link grant.
                     packet.first_grant_tick = tick
-                packet.sent128 += 1
-                last = packet.sent128 == packet.flit_total // self.boundary.ratio
+                self.sent += 1
+                last = self.sent == packet.flit_total // self.boundary.ratio
                 if loopback:
                     self.ingress.append((tick, packet, last))
                 else:
                     self.boundary.egress.append((tick, packet))
                 moved = True
                 if last:
+                    self.sent = 0
                     self.lock = None
                     self.last_grant = src
                     queue = self.queues[src]
@@ -415,6 +411,7 @@ class McNi:
         self.sni = sni
         self.deliver = deliver  # deliver(packet, tick)
         self.queue: deque[Packet] = deque()
+        self.sent = 0  # flits of the front packet pushed so far
 
     def enqueue(self, packet: Packet) -> None:
         self.queue.append(packet)
@@ -423,9 +420,10 @@ class McNi:
         if not self.queue or not self.sni.can_accept():
             return False
         packet = self.queue[0]
-        self.sni.push(packet.flits[packet.sent_iw], packet, icycle)
-        packet.sent_iw += 1
-        if packet.sent_iw == len(packet.flits):
+        self.sni.push(packet, icycle)
+        self.sent += 1
+        if self.sent == packet.flit_total:
+            self.sent = 0
             self.queue.popleft()
         return True
 
@@ -452,10 +450,10 @@ class Fabric:
         sni_factory,
         deliver_chiplet,
         deliver_mc,
-        egress_cap: int = 2,
         enable_trace: bool = False,
     ):
-        """sni_factory(kind, router_id, index, forward, drop) -> SniUnit."""
+        """sni_factory(kind, index, forward, drop) -> SniUnit, where kind
+        is a SniKind and index the chiplet or memory controller."""
         self.topo = topo
         self.iw = interposer_width
         self.vc_per_vnet = vc_per_vnet
@@ -493,8 +491,8 @@ class Fabric:
         for k in range(topo.n_chiplets):
             rid = topo.chiplet_router(k)
             hub = ChipletHub(k, topo, partial(self._deliver, deliver_chiplet, k))
-            sni = sni_factory("sni1", rid, k, self._make_forward(rid), self._drop)
-            boundary = ChipletBoundary(k, interposer_width, sni, egress_cap)
+            sni = sni_factory(SniKind.SNI1, k, self._make_forward(rid), self._drop)
+            boundary = ChipletBoundary(k, interposer_width, sni)
             hub.boundary = boundary
             self.routers[rid].local_sink = ChipletIngress(k, interposer_width, hub).sink
             self.hubs[k] = hub
@@ -505,7 +503,7 @@ class Fabric:
         self.mc_snis: dict[int, SniUnit] = {}
         for m in range(topo.n_mcs):
             rid = topo.mc_router(m)
-            sni = sni_factory("sni2", rid, m, self._make_forward(rid), self._drop)
+            sni = sni_factory(SniKind.SNI2, m, self._make_forward(rid), self._drop)
             ni = McNi(sni, partial(self._deliver, deliver_mc, m))
             self.routers[rid].local_sink = ni.sink
             self.mc_nis[m] = ni
@@ -536,7 +534,7 @@ class Fabric:
         packet = Packet(pid, msg, src_node, dest_node, dest_router, target_chiplet)
         packet.inject_tick = tick
         packet.malicious = malicious
-        packet.flits = encode(msg, self.iw, pid)
+        packet.flits = encode(msg, self.iw)
         packet.flit_total = len(packet.flits)
         self.flits_injected += packet.flit_total
         self.registry[pid] = packet
@@ -687,7 +685,7 @@ class Fabric:
             held.extend(p for _, p, _ in hub.ingress)
         for boundary in self._boundary_order:
             held.extend(p for _, p in boundary.egress)
-            held.extend(p for _, p in boundary.pending)
+            held.extend(boundary.pending)
         for sni in self._sni_order:
             held.extend(entry.packet for entry in sni.inflight)
         for router in self._routers_order:

@@ -20,7 +20,6 @@ from .messages import (
     ADDRESS_LIMIT,
     BROADCAST_ID,
     CoherenceMessage,
-    Flit,
     MsgType,
     control_flit_count,
     extract_stage,
@@ -29,6 +28,7 @@ from .topology import Port, Topology
 
 SNI1_LATENCY = 2
 SNI2_LATENCY = 3
+INPUT_CAPACITY = 24  # flits one SNI holds, judged or waiting to leave
 
 
 class ThreatClass(Enum):
@@ -60,7 +60,7 @@ class SniVerdict:
 
     @classmethod
     def allow(cls) -> "SniVerdict":
-        return cls(VerdictKind.ALLOW)
+        return _ALLOW
 
     @classmethod
     def rewrite(cls, replacement: CoherenceMessage, new_destination: int) -> "SniVerdict":
@@ -71,19 +71,35 @@ class SniVerdict:
         return cls(VerdictKind.VIOLATION, threat=threat, detail=detail)
 
 
+_ALLOW = SniVerdict(VerdictKind.ALLOW)
+
+
 @dataclass(frozen=True)
 class SniConfig:
     kind: SniKind
     attached_router: int
     expected_requesters: range
     topo: Topology
-    latency_cycles: int | None = None  # non-baseline if overridden
     check_mc_traffic: bool = True
+
+    @classmethod
+    def for_link(
+        cls, kind: SniKind, index: int, topo: Topology, check_mc_traffic: bool = True
+    ) -> "SniConfig":
+        """The SNI on chiplet ``index``'s link (SNI-1), which expects that
+        chiplet's cores, or on memory controller ``index``'s link (SNI-2),
+        which expects the controller's node id."""
+        if kind is SniKind.SNI1:
+            router = topo.chiplet_router(index)
+            requesters = topo.core_range(index)
+        else:
+            router = topo.mc_router(index)
+            node = topo.mc_node(index)
+            requesters = range(node, node + 1)
+        return cls(kind, router, requesters, topo, check_mc_traffic)
 
     @property
     def latency(self) -> int:
-        if self.latency_cycles is not None:
-            return self.latency_cycles
         return SNI1_LATENCY if self.kind is SniKind.SNI1 else SNI2_LATENCY
 
 
@@ -273,21 +289,23 @@ class ViolationRecord:
 
 
 class _Progress:
+    """One packet in the unit: its flits ``packet.flits[:arrived]`` have
+    come in and ``[:forwarded]`` have left.  ``header`` is the judged
+    header, kept for the violation record (None if the unit is disabled)."""
+
     __slots__ = (
-        "packet", "flits", "arrived", "forwarded", "verdict",
-        "final_header_cycle", "release_cycle", "rewritten", "total",
+        "packet", "arrived", "forwarded", "verdict", "header",
+        "final_header_cycle", "release_cycle",
     )
 
-    def __init__(self, packet, total: int):
+    def __init__(self, packet):
         self.packet = packet
-        self.flits: list[Flit] = []
         self.arrived = 0
         self.forwarded = 0
         self.verdict: SniVerdict | None = None
+        self.header = None
         self.final_header_cycle = -1
         self.release_cycle = -1
-        self.rewritten = False
-        self.total = total
 
 
 @dataclass
@@ -302,10 +320,14 @@ class SniStats:
 class SniUnit:
     """One SNI instance: a sequential pipeline driven by the interposer clock.
 
-    Flits are pushed in link order (at most one per interposer cycle);
-    the packet's head is released exactly ``latency`` cycles after its
-    final header flit arrives, then flits stream out one per cycle into
-    the attached router.  When disabled the unit is a zero-delay wire.
+    ``push(packet, cycle)`` says that the next flit of ``packet``
+    arrives (at most one per interposer cycle, in link order); the unit
+    keeps a reference to the packet and counts its flits, never a copy.
+    Once ``header_flits`` have arrived the header is extracted once and
+    judged.  The packet's head is released exactly ``latency`` cycles
+    later, then flits stream out one per cycle into the attached router.
+    The unit holds at most ``INPUT_CAPACITY`` flits.  When disabled it
+    is a zero-delay wire.
     """
 
     def __init__(
@@ -317,7 +339,6 @@ class SniUnit:
         drop_packet=None,
         enabled: bool = True,
         rewrite_enabled: bool = True,
-        input_capacity: int = 24,
     ):
         self.cfg = cfg
         self.width = width
@@ -329,22 +350,21 @@ class SniUnit:
         self.drop_packet = drop_packet
         self.enabled = enabled
         self.rewrite_enabled = rewrite_enabled
-        self.capacity = input_capacity
         self.header_flits = control_flit_count(width)
         self.inflight: deque[_Progress] = deque()
         self.held = 0
         self.stats = SniStats()
 
     def can_accept(self) -> bool:
-        return self.held < self.capacity
+        return self.held < INPUT_CAPACITY
 
-    def push(self, flit: Flit, packet, cycle: int) -> None:
+    def push(self, packet, cycle: int) -> None:
+        """The next flit of ``packet`` arrives."""
         if packet.dropped:
             return  # the rest of a packet judged a violation
-        if not self.inflight or self.inflight[-1].packet.pid != packet.pid:
-            self.inflight.append(_Progress(packet, packet.flit_total))
+        if not self.inflight or self.inflight[-1].packet is not packet:
+            self.inflight.append(_Progress(packet))
         entry = self.inflight[-1]
-        entry.flits.append(flit)
         entry.arrived += 1
         self.held += 1
         if entry.arrived == self.header_flits:
@@ -357,8 +377,9 @@ class SniUnit:
         if not self.enabled:
             return SniVerdict.allow()
         self.stats.checked += 1
-        fields = extract_stage(entry.flits, self.width, min(2, self.header_flits))
         packet = entry.packet
+        fields = extract_stage(packet.flits, self.width, self.header_flits)
+        entry.header = fields
         if self.cfg.kind is SniKind.SNI2 and packet.target_chiplet is not None:
             verdict = SniVerdict.allow()
             if self.cfg.check_mc_traffic:
@@ -379,18 +400,13 @@ class SniUnit:
         chiplet = entry.packet.target_chiplet
         per = self.stats.filtered_per_chiplet
         per[chiplet] = per.get(chiplet, 0) + 1
-        self.held -= entry.arrived
         new_packet = self.drop_packet(
             entry.packet, cycle, verdict.replacement, verdict.new_destination
         )
-        flits = new_packet.flits
+        self.held += new_packet.flit_total - entry.arrived
         entry.packet = new_packet
-        entry.flits = flits
-        entry.arrived = len(flits)
-        entry.total = len(flits)
-        entry.forwarded = 0
-        self.held += len(flits)
-        entry.rewritten = True
+        entry.arrived = new_packet.flit_total
+        entry.verdict = SniVerdict.allow()
 
     def step(self, cycle: int) -> list[ViolationRecord]:
         """Advance one interposer cycle; at most one flit leaves the unit."""
@@ -400,7 +416,6 @@ class SniUnit:
             if entry.verdict is None or cycle < entry.release_cycle:
                 break
             if entry.verdict.outcome is VerdictKind.VIOLATION:
-                fields = extract_stage(entry.flits, self.width, min(2, self.header_flits))
                 violations.append(
                     ViolationRecord(
                         cycle=entry.release_cycle,
@@ -409,7 +424,7 @@ class SniUnit:
                         sni_kind=self.cfg.kind.value,
                         threat=entry.verdict.threat,
                         detail=entry.verdict.detail,
-                        message=_render_fields(fields),
+                        message=_render_fields(entry.header),
                         packet_id=entry.packet.pid,
                     )
                 )
@@ -418,17 +433,17 @@ class SniUnit:
                 self.drop_packet(entry.packet, cycle)
                 self.inflight.popleft()
                 continue
-            if entry.verdict.outcome is VerdictKind.REWRITE and not entry.rewritten:
+            if entry.verdict.outcome is VerdictKind.REWRITE:
                 self._apply_rewrite(entry, cycle)
-            if entry.forwarded < len(entry.flits):
-                flit = entry.flits[entry.forwarded]
-                if self.forward(flit, entry.packet):
+            packet = entry.packet
+            if entry.forwarded < entry.arrived:
+                if self.forward(packet.flits[entry.forwarded], packet):
                     if entry.forwarded == 0:
-                        entry.packet.sni_delay = cycle - entry.final_header_cycle
-                        entry.packet.sni_kind = self.cfg.kind.value
+                        packet.sni_delay = cycle - entry.final_header_cycle
+                        packet.sni_kind = self.cfg.kind.value
                     entry.forwarded += 1
                     self.held -= 1
-                    if entry.forwarded == entry.total:
+                    if entry.forwarded == packet.flit_total:
                         self.inflight.popleft()
             break
         return violations

@@ -177,6 +177,25 @@ class TestValidate:
         ])
         assert code == 0
 
+    @pytest.mark.parametrize("command", ["run", "validate-config"])
+    @pytest.mark.parametrize("shift", [60, 27], ids=["beyond-64-bits", "8-gib"])
+    def test_permission_map_beyond_address_space(self, tmp_path, capsys,
+                                                 command, shift):
+        """A table covering more than the 4 GiB address space is refused
+        up front instead of failing the run."""
+        path = tmp_path / "perm.map"
+        path.write_text(
+            f"regions 64\nshift {shift}\ndefault = RW,RW,RW,RW,RW,RW,RW,RW\n",
+            encoding="utf-8",
+        )
+        args = [command, "--preset", "desk-scale", "--permissions", str(path)]
+        if command == "run":
+            args += ["--ops", "5"]
+        assert main(args) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "configuration ok" not in captured.out
+        assert "address space" in captured.err and "Traceback" not in captured.err
+
     def test_unknown_preset_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--preset", "nope"])

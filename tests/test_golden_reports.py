@@ -92,6 +92,16 @@ def _narrow_vcs():
     )
 
 
+def _sni_off():
+    """Every SNI a zero-delay wire: no check, no pipeline latency."""
+    return replace(presets.desk_scale(seed=2), sni_enabled=False, label="sni-off")
+
+
+def _rewrite_off():
+    """Chiplet 7 locked out but SNI-2 filtering off: its probes get through."""
+    return replace(_observer_sharing(), sni2_rewrite=False, label="rewrite-off")
+
+
 CONFIGS = {
     "desk-scale-w64": lambda: presets.desk_scale(seed=0),
     "desk-scale-w128": _desk_w128,
@@ -101,6 +111,8 @@ CONFIGS = {
     "permission-update": _permission_update,
     "budget-halt": _budget_halt,
     "narrow-vcs": _narrow_vcs,
+    "sni-off": _sni_off,
+    "rewrite-off": _rewrite_off,
 }
 
 

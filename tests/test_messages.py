@@ -20,6 +20,7 @@ from interposim.messages import (
     MalformedStreamError,
     MessageClass,
     MsgType,
+    PartialHeader,
     classify,
     control_flit_count,
     data_flit_count,
@@ -29,7 +30,6 @@ from interposim.messages import (
     flit_count,
     golden_line,
     pack_header,
-    unpack_header,
 )
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_vectors.txt"
@@ -85,14 +85,16 @@ class TestLayout:
         assert (word >> 21) & 0x3 == 2
         assert (word >> 23) & 0xFF == 0x7E
         assert (word >> 31) & 0x1 == 1
-        assert unpack_header(word) == {
-            "msg_type": int(MsgType.DATA),
-            "requester_id": 0xA5,
-            "destination_id": 0x3C,
-            "vnet": 2,
-            "cur_owner": 0x7E,
-            "dirty": True,
-        }
+        head = extract_stage([Flit(word, 64, FlitPosition.HEAD)], 64, 1)
+        assert head == PartialHeader(
+            msg_type=int(MsgType.DATA),
+            requester_id=0xA5,
+            destination_id=0x3C,
+            vnet=2,
+            cur_owner=0x7E,
+            dirty=True,
+            address=None,
+        )
 
     def test_classify(self):
         assert classify(MsgType.GETS) is MessageClass.REQUEST
@@ -107,7 +109,7 @@ class TestRoundTrip:
         rng = random.Random(f"codec-corpus-{width}")
         for _ in range(300):
             msg = _random_message(rng)
-            flits = encode(msg, width, packet_id=7)
+            flits = encode(msg, width)
             assert len(flits) == flit_count(msg.msg_type, width)
             assert all(f.width == width for f in flits)
             got = decode(flits, width)
@@ -201,7 +203,7 @@ class TestErrors:
 
     def test_decode_control_overlong(self):
         flits = encode(CoherenceMessage(MsgType.GETS, 0, 64, 0, 0), 64)
-        extra = Flit(0, 64, FlitPosition.TAIL, 0)
+        extra = Flit(0, 64, FlitPosition.TAIL)
         with pytest.raises(MalformedStreamError):
             decode(flits + [extra], 64)
 
@@ -255,7 +257,7 @@ class TestGoldenVectors:
                     pos = FlitPosition.TAIL
                 else:
                     pos = FlitPosition.BODY
-                flits.append(Flit(int(text, 16), width, pos, 0))
+                flits.append(Flit(int(text, 16), width, pos))
             msg = decode(flits, width)
             assert golden_line(msg, width) == line
 

@@ -11,7 +11,7 @@ from interposim.apu import ApuTable, Permission
 from interposim.harness import VC_CHOICES
 from interposim.messages import CoherenceMessage, MsgType, decode
 from interposim.noc import CHIPLET_LINK_BITS, CLOCK_RATIO, Fabric
-from interposim.sni import SniConfig, SniKind, SniUnit
+from interposim.sni import SniConfig, SniUnit
 from interposim.topology import Port, Topology, TopologyError
 from reference_router import ReferenceRouter
 
@@ -127,15 +127,9 @@ class FabricHarness:
 
         return record
 
-    def _sni_factory(self, kind, router_id, index, forward, spawn):
-        if kind == "sni1":
-            cfg = SniConfig(SniKind.SNI1, router_id,
-                            self.topo.core_range(index), self.topo)
-        else:
-            node = self.topo.mc_node(index)
-            cfg = SniConfig(SniKind.SNI2, router_id,
-                            range(node, node + 1), self.topo)
-        return SniUnit(cfg, self.width, lambda: self.table, forward, spawn,
+    def _sni_factory(self, kind, index, forward, spawn):
+        return SniUnit(SniConfig.for_link(kind, index, self.topo), self.width,
+                       lambda: self.table, forward, spawn,
                        enabled=self.sni_enabled)
 
     def _deliver_chiplet(self, chiplet, packet, tick):
@@ -250,6 +244,28 @@ class TestFabricTransport:
         h.run(400)
         # Fair hub arbitration drains the four queues in core-id rotation.
         assert [m.requester_id for _, _, m in h.mc_rx] == [0, 1, 2, 3]
+
+    def test_boundary_egress_holds_two_beats(self, topo8):
+        """The hub stops sending once two beats wait at the boundary and
+        resumes when the boundary releases one toward the SNI."""
+        h = make_harness(topo8, 64)
+        h.fabric.inject_from_core(CoherenceMessage(
+            MsgType.WRITEBACK_DATA, 0, 64, 2, 0x40, dirty=True,
+            data_block=bytes(64)), 0)
+        boundary = h.fabric.boundaries[0]
+        seen = []  # (beats in egress, flits pending, egress_space())
+        for tick in range(10):
+            h.run(tick + 1, start=tick)
+            seen.append(
+                (len(boundary.egress), len(boundary.pending), boundary.egress_space())
+            )
+        # Tick 4: beat 1 splits into two 64-bit flits, one enters the SNI
+        # and the hub refills the egress; tick 8: the second flit enters.
+        assert seen == [
+            (1, 0, True), (2, 0, False), (2, 0, False), (2, 0, False),
+            (2, 1, False), (2, 1, False), (2, 1, False), (2, 1, False),
+            (2, 0, False), (2, 0, False),
+        ]
 
     def test_backpressure_with_shallow_vcs(self, topo8):
         h = make_harness(topo8, 64, vc_depth=1)

@@ -13,6 +13,7 @@ from interposim.messages import (
 )
 from interposim.noc import Packet
 from interposim.sni import (
+    INPUT_CAPACITY,
     SNI1_LATENCY,
     SNI2_LATENCY,
     SniConfig,
@@ -42,22 +43,24 @@ def mixed_table() -> ApuTable:
 
 
 def sni1_cfg(topo: Topology, chiplet: int = 0) -> SniConfig:
-    return SniConfig(
-        kind=SniKind.SNI1,
-        attached_router=topo.chiplet_router(chiplet),
-        expected_requesters=topo.core_range(chiplet),
-        topo=topo,
-    )
+    return SniConfig.for_link(SniKind.SNI1, chiplet, topo)
 
 
 def sni2_cfg(topo: Topology, mc: int = 0) -> SniConfig:
-    node = topo.mc_node(mc)
-    return SniConfig(
-        kind=SniKind.SNI2,
-        attached_router=topo.mc_router(mc),
-        expected_requesters=range(node, node + 1),
-        topo=topo,
+    return SniConfig.for_link(SniKind.SNI2, mc, topo)
+
+
+def test_for_link_derives_router_and_requesters(topo8):
+    sni1 = SniConfig.for_link(SniKind.SNI1, 5, topo8, check_mc_traffic=False)
+    assert (sni1.attached_router, sni1.expected_requesters) == (
+        topo8.chiplet_router(5), range(40, 48)
     )
+    assert sni1.latency == SNI1_LATENCY and not sni1.check_mc_traffic
+    sni2 = SniConfig.for_link(SniKind.SNI2, 2, topo8)
+    assert (sni2.attached_router, sni2.expected_requesters) == (
+        topo8.mc_router(2), range(66, 67)
+    )
+    assert sni2.latency == SNI2_LATENCY and sni2.check_mc_traffic
 
 
 REGION1 = 1 << 26
@@ -232,14 +235,14 @@ class _Harness:
             return None
         packet = Packet(self._next_pid, msg, msg.requester_id, dest, 0)
         self._next_pid += 1
-        packet.flits = encode(msg, self.unit.width, packet.pid)
+        packet.flits = encode(msg, self.unit.width)
         packet.flit_total = len(packet.flits)
         return packet
 
     def make_packet(self, msg, width, target_chiplet=None):
         packet = Packet(1, msg, msg.requester_id, msg.destination_id, 0,
                         target_chiplet)
-        packet.flits = encode(msg, width, packet.pid)
+        packet.flits = encode(msg, width)
         packet.flit_total = len(packet.flits)
         return packet
 
@@ -249,7 +252,7 @@ class _Harness:
         pushed = 0
         for _ in range(cycles):
             if pushed < len(packet.flits) and self.unit.can_accept():
-                self.unit.push(packet.flits[pushed], packet, self.cycle)
+                self.unit.push(packet, self.cycle)
                 pushed += 1
             violations.extend(self.unit.step(self.cycle))
             self.cycle += 1
@@ -297,10 +300,64 @@ class TestPipeline:
         assert len(violations) == 1
         assert violations[0].threat is ThreatClass.PASSIVE_READING
         assert violations[0].packet_id == packet.pid
+        assert violations[0].detail == (
+            "GETS from chiplet 0 lacking READ_ONLY on region 2"
+        )
+        assert violations[0].message == (
+            "GETS req=0 dst=64 vnet=0 addr=0x8000000 owner=0 dirty=0"
+        )
         assert packet.dropped
         assert h.out == []
         assert h.unit.stats.violations == 1
         assert h.unit.held == 0
+
+    def test_data_violation_drops_later_flits(self, topo8):
+        """A width-64 DATA packet is judged on its first two flits; the
+        eight that arrive after the verdict are not held."""
+        h = _Harness(topo8, sni1_cfg(topo8), 64, table=mixed_table())
+        msg = CoherenceMessage(
+            MsgType.DATA, 0, topo8.rep_core(4), 2, REGION3, dirty=True,
+            data_block=bytes(64),
+        )
+        packet = h.make_packet(msg, 64)
+        violations = h.run(packet, 20)
+        assert [(v.threat, v.cycle) for v in violations] == [
+            (ThreatClass.DIVERTING, 1 + SNI1_LATENCY)
+        ]
+        assert violations[0].message == (
+            "DATA req=0 dst=32 vnet=2 addr=0xc000000 owner=0 dirty=1"
+        )
+        assert packet.dropped
+        assert h.out == []
+        assert h.unit.held == 0
+        assert not h.unit.inflight
+
+    def test_input_capacity(self, topo8):
+        """The unit refuses a flit once it holds 24 and accepts again
+        after one leaves."""
+        h = _Harness(topo8, sni1_cfg(topo8), 64)
+        open_gate = False
+        h.unit.forward = lambda flit, packet: open_gate
+        msg = CoherenceMessage(
+            MsgType.WRITEBACK_DATA, 0, 64, 2, 0x40, dirty=True,
+            data_block=bytes(64),
+        )
+        pushed = 0
+        while h.unit.can_accept():
+            packet = h.make_packet(msg, 64)  # 10 flits
+            for _ in packet.flits:
+                if not h.unit.can_accept():
+                    break
+                h.unit.push(packet, 0)
+                pushed += 1
+        assert pushed == INPUT_CAPACITY == 24
+        assert h.unit.held == 24
+        h.unit.step(SNI1_LATENCY + 1)
+        assert not h.unit.can_accept()  # the router refused the head
+        open_gate = True
+        h.unit.step(SNI1_LATENCY + 2)
+        assert h.unit.held == 23
+        assert h.unit.can_accept()
 
     def test_rewrite_emits_nack_flits(self, topo8):
         h = _Harness(topo8, sni2_cfg(topo8), 64, table=mixed_table())
@@ -344,5 +401,6 @@ def test_violation_record_json_round_trips():
 
 def test_verdict_constructors():
     assert SniVerdict.allow().outcome is VerdictKind.ALLOW
+    assert SniVerdict.allow() is SniVerdict.allow()
     v = SniVerdict.violation(ThreatClass.MALFORMED, "x")
     assert v.outcome is VerdictKind.VIOLATION and v.detail == "x"
