@@ -13,8 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
+from typing import NamedTuple
 
-from .messages import ADDRESS_SPACE_BITS
+from .messages import ADDRESS_LIMIT, ADDRESS_SPACE_BITS
 
 CHIPLET_SLOTS = 8
 ENTRY_BITS = 2 * CHIPLET_SLOTS
@@ -124,9 +126,23 @@ class ApuEntry:
         )
 
 
+class TableView(NamedTuple):
+    """A snapshot compiled for the checkers: the address limit clipped to
+    the address space, the region shift, and per region one 2-bit
+    permission code per chiplet slot."""
+
+    limit: int
+    shift: int
+    cells: tuple[tuple[int, ...], ...]
+
+
 @dataclass(frozen=True)
 class ApuTable:
-    """Direct-mapped permission table, one entry per memory region."""
+    """Direct-mapped permission table, one entry per memory region.
+
+    ``view`` is computed once per snapshot; a privileged update makes a
+    new snapshot and so a new view.
+    """
 
     entries: tuple[ApuEntry, ...]
     region_shift: int = DEFAULT_REGION_SHIFT
@@ -146,6 +162,14 @@ class ApuTable:
     @property
     def bit_length(self) -> int:
         return ENTRY_BITS * self.n_regions
+
+    @cached_property
+    def view(self) -> TableView:
+        return TableView(
+            min(ADDRESS_LIMIT, self.address_limit),
+            self.region_shift,
+            tuple(tuple(p.value for p in entry.perms) for entry in self.entries),
+        )
 
     @classmethod
     def uniform(

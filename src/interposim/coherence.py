@@ -621,7 +621,7 @@ class ChipletAgent:
         for core in self.cores:
             if core.id == requester:
                 continue  # the requester's own copy rides with its transaction
-            line = core.cache.peek(address)
+            line = core.cache.lines.get(address)
             if line is None:
                 continue
             holders.append(core)

@@ -44,7 +44,7 @@ from .coherence import (
     PrivateCache,
     SwmrChecker,
 )
-from .messages import ADDRESS_LIMIT, LINK_WIDTHS, MsgType
+from .messages import ADDRESS_LIMIT, LINK_WIDTHS, PROBE_TYPES
 from .noc import CLOCK_RATIO, Fabric, Packet, nearest_rank
 from .sni import SniConfig, SniKind, SniUnit
 from .topology import Topology
@@ -279,6 +279,7 @@ class Simulator:
             for m in range(topo.n_mcs)
         }
         self._dir_order = [self.directories[m] for m in sorted(self.directories)]
+        self._n_cores = topo.n_cores
         self.cores: dict[int, Core] = {}
         retry_ticks = cfg.retry_backoff_icycles * CLOCK_RATIO
         for c in range(topo.n_cores):
@@ -336,19 +337,19 @@ class Simulator:
         return send
 
     def _log_delivery(self, key: str, msg) -> None:
-        if self.delivery_log is not None:
-            self.delivery_log.setdefault(key, []).append(msg.canonical_text())
+        self.delivery_log.setdefault(key, []).append(msg.canonical_text())
 
     def _deliver_chiplet(self, chiplet: int, packet: Packet, tick: int) -> None:
         msg = packet.msg
-        if packet.target_chiplet is not None and msg.msg_type in (
-            MsgType.PROBE, MsgType.PROBE_INV
-        ):
+        logging = self.delivery_log is not None
+        if packet.target_chiplet is not None and msg.msg_type in PROBE_TYPES:
             self.probes_delivered[chiplet] += 1
-            self._log_delivery(f"chiplet{chiplet}", msg)
+            if logging:
+                self._log_delivery(f"chiplet{chiplet}", msg)
             self.agents[chiplet].handle_probe(msg, tick)
-        elif self.topo.is_core(msg.destination_id):
-            self._log_delivery(f"core{msg.destination_id}", msg)
+        elif 0 <= msg.destination_id < self._n_cores:
+            if logging:
+                self._log_delivery(f"core{msg.destination_id}", msg)
             if packet.malicious:
                 # A hostile packet made it past (or around) the SNIs.
                 self.leaked_deliveries += 1
@@ -360,7 +361,8 @@ class Simulator:
         # should make this unreachable for well-formed systems
 
     def _deliver_mc(self, mc: int, packet: Packet, tick: int) -> None:
-        self._log_delivery(f"mc{mc}", packet.msg)
+        if self.delivery_log is not None:
+            self._log_delivery(f"mc{mc}", packet.msg)
         if packet.malicious:
             self.leaked_deliveries += 1
         self.directories[mc].deliver(packet.msg, tick)
@@ -436,6 +438,8 @@ class Simulator:
         self._waiting = set()
         for core in cores.values():
             self._post(core, 0)
+        fabric = self.fabric
+        attack_queue = self._attack_queue
         tick = 0
         last_progress = 0
         halted = False
@@ -450,7 +454,7 @@ class Simulator:
                     events = directory.dram_events
                     if directory.inbox or (events and events[0][0] <= icycle):
                         progressed |= directory.step(icycle)
-                violations, moved = self.fabric.step_interposer(tick)
+                violations, moved = fabric.step_interposer(tick)
                 progressed |= moved
                 if violations:
                     violations.sort(key=lambda v: v.sort_key())
@@ -460,10 +464,10 @@ class Simulator:
                     self.halt_detail = violations[0].detail
                     halted = True
                     break
-            progressed |= self.fabric.step_chiplets(tick)
-            while self._attack_queue and self._attack_queue[0].trigger_tick <= tick:
-                scenario = self._attack_queue.pop(0)
-                self.fabric.inject_from_core_as(
+            progressed |= fabric.step_chiplets(tick)
+            while attack_queue and attack_queue[0].trigger_tick <= tick:
+                scenario = attack_queue.pop(0)
+                fabric.inject_from_core_as(
                     scenario.msg, scenario.src_core, tick
                 )
                 progressed = True
@@ -486,10 +490,10 @@ class Simulator:
                 halted = True
                 break
 
-            if tick % 8 == 0 and not self.fabric.registry and self._dirs_idle():
+            if tick % 8 == 0 and not fabric.registry and self._dirs_idle():
                 if (
                     self._all_cores_done()
-                    and not self._attack_queue
+                    and not attack_queue
                     and not self._pending_updates
                 ):
                     self.halt_tick = tick
@@ -504,6 +508,15 @@ class Simulator:
                     last_progress = tick // CLOCK_RATIO
                     continue
             tick += 1
+            if tick % CLOCK_RATIO and fabric.chiplets_idle(tick):
+                # Until the next interposer cycle only a core or an attack
+                # can act: skip to the earliest of the three.
+                nxt = tick - tick % CLOCK_RATIO + CLOCK_RATIO
+                if wakeups and wakeups[0][0] < nxt:
+                    nxt = wakeups[0][0]
+                if attack_queue and attack_queue[0].trigger_tick < nxt:
+                    nxt = attack_queue[0].trigger_tick
+                tick = nxt
         if not halted:
             self.halt_cause = "budget"
             self.halt_tick = cfg.max_ticks

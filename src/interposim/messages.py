@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from typing import NamedTuple
 
 LINK_WIDTHS = (64, 128)
 CHIPLET_LINK_BITS = 128
@@ -97,6 +98,9 @@ DATA_CARRYING_TYPES = frozenset(
     }
 )
 
+# Directory probes; a probe copy names its target chiplet out of band.
+PROBE_TYPES = frozenset({MsgType.PROBE, MsgType.PROBE_INV})
+
 
 class MessageClass(Enum):
     REQUEST = "request"
@@ -127,13 +131,18 @@ class MalformedStreamError(CodecError):
     """A flit stream is short, garbled, or inconsistent with its header."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CoherenceMessage:
     """One coherence request or response, the unit validated by SNIs.
 
     ``msg_type`` is the raw 5-bit code; it is normally a :class:`MsgType`
     member but undefined codes are representable so that fabricated
     (malicious) messages survive the codec and reach the checkers.
+
+    ``__init__`` fills the instance dict directly.  The one a frozen
+    dataclass generates sets each field through ``object.__setattr__``,
+    which costs three times as much, and every packet carries a new
+    message.
     """
 
     msg_type: int
@@ -144,6 +153,27 @@ class CoherenceMessage:
     cur_owner: int = 0
     dirty: bool = False
     data_block: bytes | None = None
+
+    def __init__(
+        self,
+        msg_type: int,
+        requester_id: int,
+        destination_id: int,
+        vnet: int,
+        address: int,
+        cur_owner: int = 0,
+        dirty: bool = False,
+        data_block: bytes | None = None,
+    ):
+        fields = self.__dict__
+        fields["msg_type"] = msg_type
+        fields["requester_id"] = requester_id
+        fields["destination_id"] = destination_id
+        fields["vnet"] = vnet
+        fields["address"] = address
+        fields["cur_owner"] = cur_owner
+        fields["dirty"] = dirty
+        fields["data_block"] = data_block
 
     def field_errors(self) -> list[str]:
         errors = []
@@ -213,8 +243,7 @@ class Flit:
         return self.position in (FlitPosition.TAIL, FlitPosition.HEAD_TAIL)
 
 
-@dataclass(frozen=True)
-class PartialHeader:
+class PartialHeader(NamedTuple):
     """Fields visible to the checker pipeline after each extraction cycle."""
 
     msg_type: int
@@ -259,39 +288,47 @@ def pack_header(msg: CoherenceMessage) -> int:
     )
 
 
-def _field(word: int, offset: int, width: int) -> int:
-    return (word >> offset) & ((1 << width) - 1)
+# Flit positions per flit count (1 to 10 flits: control or data, 64 or
+# 128 bits wide).
+_POSITIONS = {1: (FlitPosition.HEAD_TAIL,)} | {
+    n: (FlitPosition.HEAD,) + (FlitPosition.BODY,) * (n - 2) + (FlitPosition.TAIL,)
+    for n in range(2, -(-(CONTROL_BITS + DATA_BITS) // min(LINK_WIDTHS)) + 1)
+}
 
 
 def encode(msg: CoherenceMessage, width: int) -> list[Flit]:
     """Segment a message into link flits; raises on field overflow."""
     _check_width(width)
-    errors = msg.field_errors()
-    if errors:
-        raise EncodingError("; ".join(errors))
-    if msg.msg_type in DATA_CARRYING_TYPES and msg.data_block is None:
-        raise EncodingError(f"{msg.type_name} requires a 64-byte data_block")
+    data = msg.data_block
+    msg_type = msg.msg_type
+    if not (
+        0 <= msg_type < (1 << MSG_TYPE_WIDTH)
+        and 0 <= msg.requester_id < (1 << REQUESTER_WIDTH)
+        and 0 <= msg.destination_id < (1 << DESTINATION_WIDTH)
+        and 0 <= msg.vnet < (1 << VNET_WIDTH)
+        and 0 <= msg.cur_owner < (1 << CUR_OWNER_WIDTH)
+        and 0 <= msg.address < (1 << ADDRESS_BITS)
+        and (data is None
+             or (len(data) == DATA_BLOCK_BYTES and msg_type in DATA_CARRYING_TYPES))
+    ):
+        raise EncodingError("; ".join(msg.field_errors()))
 
     bits = pack_header(msg) | (msg.address << HEADER_BITS)
-    total_bits = CONTROL_BITS
-    if msg.data_block is not None:
-        bits |= int.from_bytes(msg.data_block, "little") << CONTROL_BITS
-        total_bits += DATA_BITS
+    if data is None:
+        if msg_type in DATA_CARRYING_TYPES:
+            raise EncodingError(f"{msg.type_name} requires a 64-byte data_block")
+        if width == CONTROL_BITS:
+            return [Flit(bits, width, FlitPosition.HEAD_TAIL)]
+        total_bits = CONTROL_BITS
+    else:
+        bits |= int.from_bytes(data, "little") << CONTROL_BITS
+        total_bits = CONTROL_BITS + DATA_BITS
 
     mask = (1 << width) - 1
-    n = -(-total_bits // width)
-    flits = []
-    for i in range(n):
-        if n == 1:
-            pos = FlitPosition.HEAD_TAIL
-        elif i == 0:
-            pos = FlitPosition.HEAD
-        elif i == n - 1:
-            pos = FlitPosition.TAIL
-        else:
-            pos = FlitPosition.BODY
-        flits.append(Flit((bits >> (i * width)) & mask, width, pos))
-    return flits
+    return [
+        Flit((bits >> (i * width)) & mask, width, pos)
+        for i, pos in enumerate(_POSITIONS[-(-total_bits // width)])
+    ]
 
 
 def decode(stream: list[Flit], width: int) -> CoherenceMessage:
@@ -343,6 +380,14 @@ def decode(stream: list[Flit], width: int) -> CoherenceMessage:
     )
 
 
+_TYPE_MASK = (1 << MSG_TYPE_WIDTH) - 1
+_REQUESTER_MASK = (1 << REQUESTER_WIDTH) - 1
+_DESTINATION_MASK = (1 << DESTINATION_WIDTH) - 1
+_VNET_MASK = (1 << VNET_WIDTH) - 1
+_CUR_OWNER_MASK = (1 << CUR_OWNER_WIDTH) - 1
+_DIRTY_BIT = 1 << DIRTY_OFFSET
+
+
 def extract_stage(stream: list[Flit], width: int, cycle: int) -> PartialHeader:
     """Multi-cycle field extraction view consumed by the checker pipeline.
 
@@ -364,15 +409,16 @@ def extract_stage(stream: list[Flit], width: int, cycle: int) -> PartialHeader:
         if len(stream) < 2:
             raise MalformedStreamError("address flit missing")
         address = stream[1].payload
-    return PartialHeader(
-        _field(head, MSG_TYPE_OFFSET, MSG_TYPE_WIDTH),
-        _field(head, REQUESTER_OFFSET, REQUESTER_WIDTH),
-        _field(head, DESTINATION_OFFSET, DESTINATION_WIDTH),
-        _field(head, VNET_OFFSET, VNET_WIDTH),
-        _field(head, CUR_OWNER_OFFSET, CUR_OWNER_WIDTH),
-        bool(_field(head, DIRTY_OFFSET, DIRTY_WIDTH)),
+    # tuple.__new__ skips the Python-level __new__ of the NamedTuple
+    return tuple.__new__(PartialHeader, (
+        (head >> MSG_TYPE_OFFSET) & _TYPE_MASK,
+        (head >> REQUESTER_OFFSET) & _REQUESTER_MASK,
+        (head >> DESTINATION_OFFSET) & _DESTINATION_MASK,
+        (head >> VNET_OFFSET) & _VNET_MASK,
+        (head >> CUR_OWNER_OFFSET) & _CUR_OWNER_MASK,
+        head & _DIRTY_BIT != 0,
         address,
-    )
+    ))
 
 
 def golden_line(msg: CoherenceMessage, width: int) -> str:

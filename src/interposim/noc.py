@@ -204,67 +204,70 @@ class Router:
         self.occupied += 1
         return True
 
-    def _try_send(self, out: int, key: int, tick: int) -> bool:
-        q = self.buffers[key]
-        flit, packet = q[0]
-        if out != _LOCAL_IDX and not self.neighbors[out].accept(
-            _OPP_IDX[out], packet.vnet, packet.vc, flit, packet, tick
-        ):
-            return False
-        q.popleft()
-        self.occupied -= 1
-        pos = flit.position
-        if pos is _HEAD:
-            packet.hops += 1
-            self.ready[out].remove(key)
-            self.locks[out] = key
-        elif pos is _HEAD_TAIL:
-            packet.hops += 1
-            self.ready[out].remove(key)
-            self.locks[out] = None
-        elif pos is _TAIL:
-            self.locks[out] = None
-        if q and (pos is _TAIL or pos is _HEAD_TAIL):
-            # The next packet's head reaches the front: it may leave no
-            # earlier than the next cycle.
-            head, ahead = q[0]
-            head.stamp = tick
-            insort(self.ready[self.route_table[ahead.dest_router]], key)
-        if out == _LOCAL_IDX:
-            # After the hop count: the sink may deliver the packet.
-            self.local_sink(flit, packet, tick)
-        if self.trace is not None:
-            label = (
-                f"{self.id}->local" if out == _LOCAL_IDX
-                else f"{self.id}->{self.neighbors[out].id}"
-            )
-            self.trace(tick, packet, flit, label)
-        return True
-
     def step(self, tick: int) -> bool:
-        moved = False
+        sent = 0
         buffers = self.buffers
-        for out in range(5):
-            lock = self.locks[out]
-            if lock is not None:
-                q = buffers[lock]
+        locks = self.locks
+        last_grant = self.last_grant
+        trace = self.trace
+        # zip reads locks[out] when it reaches out, after earlier outputs
+        # of this cycle have updated theirs.
+        for out, key, ready in zip(range(5), locks, self.ready):
+            if key is None:
+                if not ready:
+                    continue
+                # Round-robin: the first movable key strictly after the
+                # last grant, wrapping to the smallest.  Indices i - n to
+                # -1 name ready[i:], and 0 to i - 1 name ready[:i].
+                i = bisect_right(ready, last_grant[out])
+                for j in range(i - len(ready), i):
+                    key = ready[j]
+                    q = buffers[key]
+                    if q[0][0].stamp < tick:
+                        break
+                else:
+                    continue
+            else:
+                q = buffers[key]
                 # An empty VC: the rest of the worm is still upstream.
-                if q and q[0][0].stamp < tick and self._try_send(out, lock, tick):
-                    moved = True
+                if not q or q[0][0].stamp >= tick:
+                    continue
+            flit, packet = q[0]
+            if out != _LOCAL_IDX and not self.neighbors[out].accept(
+                _OPP_IDX[out], packet.vnet, packet.vc, flit, packet, tick
+            ):
                 continue
-            ready = self.ready[out]
-            if not ready:
-                continue
-            # Round-robin: the first movable key strictly after the last
-            # grant, wrapping to the smallest.
-            split = bisect_right(ready, self.last_grant[out])
-            for key in ready[split:] + ready[:split]:
-                if buffers[key][0][0].stamp < tick:
-                    if self._try_send(out, key, tick):
-                        self.last_grant[out] = key
-                        moved = True
-                    break
-        return moved
+            q.popleft()
+            sent += 1
+            pos = flit.position
+            if pos is _HEAD:
+                packet.hops += 1
+                ready.remove(key)
+                locks[out] = key
+                last_grant[out] = key
+            elif pos is _HEAD_TAIL:
+                packet.hops += 1
+                ready.remove(key)
+                last_grant[out] = key
+            elif pos is _TAIL:
+                locks[out] = None
+            if q and (pos is _TAIL or pos is _HEAD_TAIL):
+                # The next packet's head reaches the front: it may leave no
+                # earlier than the next cycle.
+                head, ahead = q[0]
+                head.stamp = tick
+                insort(self.ready[self.route_table[ahead.dest_router]], key)
+            if out == _LOCAL_IDX:
+                # After the hop count: the sink may deliver the packet.
+                self.local_sink(flit, packet, tick)
+            if trace is not None:
+                label = (
+                    f"{self.id}->local" if out == _LOCAL_IDX
+                    else f"{self.id}->{self.neighbors[out].id}"
+                )
+                trace(tick, packet, flit, label)
+        self.occupied -= sent
+        return sent > 0
 
 
 class ChipletBoundary:
@@ -347,14 +350,24 @@ class ChipletHub:
     def enqueue(self, packet: Packet) -> None:
         """Queue a core packet; one bound for a core of this chiplet is
         looped back by the hub and never reaches the interposer."""
-        dest = packet.dest_node
-        packet.loopback = (
-            self.topo.is_core(dest) and self.topo.chiplet_of_core(dest) == self.chiplet
-        )
+        packet.loopback = packet.dest_node in self.queues  # keyed by our cores
         queue = self.queues[packet.src_node]
         if not queue:
             insort(self.waiting, packet.src_node)
         queue.append(packet)
+
+    def can_move(self, tick: int) -> bool:
+        """Whether ``step(tick)`` would move a beat: the ingress front was
+        stamped before ``tick``, or the next queued packet is a loopback
+        or finds egress space.  While it is false a step changes nothing."""
+        ingress = self.ingress
+        if ingress and ingress[0][0] < tick:
+            return True
+        if not self.waiting:
+            return False
+        if self.boundary.egress_space():
+            return True
+        return self.queues[self._pick_source()][0].loopback
 
     def _pick_source(self) -> int | None:
         if self.lock is not None:
@@ -367,40 +380,41 @@ class ChipletHub:
 
     def step(self, tick: int) -> bool:
         moved = False
-        if self.ingress:
-            stamp, packet, last = self.ingress[0]
-            if stamp < tick:
-                self.ingress.popleft()
-                moved = True
-                if last:
-                    self.deliver(packet, tick)
+        ingress = self.ingress
+        if ingress and ingress[0][0] < tick:
+            _, packet, last = ingress.popleft()
+            moved = True
+            if last:
+                self.deliver(packet, tick)
         src = self._pick_source()
-        if src is not None:
-            packet = self.queues[src][0]
-            loopback = packet.loopback
-            if loopback or self.boundary.egress_space():
-                if loopback and self.sent == 0:
-                    # Loopback never reaches the mesh: the hub grant is
-                    # its first (and only) link grant.
-                    packet.first_grant_tick = tick
-                self.sent += 1
-                last = self.sent == packet.flit_total // self.boundary.ratio
-                if loopback:
-                    self.ingress.append((tick, packet, last))
-                else:
-                    self.boundary.egress.append((tick, packet))
-                moved = True
-                if last:
-                    self.sent = 0
-                    self.lock = None
-                    self.last_grant = src
-                    queue = self.queues[src]
-                    queue.popleft()
-                    if not queue:
-                        self.waiting.remove(src)
-                else:
-                    self.lock = src
-        return moved
+        if src is None:
+            return moved
+        queue = self.queues[src]
+        packet = queue[0]
+        boundary = self.boundary
+        loopback = packet.loopback
+        if not loopback and not boundary.egress_space():
+            return moved
+        if loopback and self.sent == 0:
+            # Loopback never reaches the mesh: the hub grant is its first
+            # (and only) link grant.
+            packet.first_grant_tick = tick
+        self.sent += 1
+        last = self.sent == packet.flit_total // boundary.ratio
+        if loopback:
+            ingress.append((tick, packet, last))
+        else:
+            boundary.egress.append((tick, packet))
+        if last:
+            self.sent = 0
+            self.lock = None
+            self.last_grant = src
+            queue.popleft()
+            if not queue:
+                self.waiting.remove(src)
+        else:
+            self.lock = src
+        return True
 
 
 class McNi:
@@ -516,6 +530,14 @@ class Fabric:
             self.chiplet_snis[k] for k in sorted(self.chiplet_snis)
         ] + [self.mc_snis[m] for m in sorted(self.mc_snis)]
         self._hub_order = [self.hubs[k] for k in sorted(self.hubs)]
+        self._core_hub = [self.hubs[topo.chiplet_of_core(c)] for c in range(topo.n_cores)]
+        # Destination routers by chiplet and by core or controller node id;
+        # new_packet asks the topology about any other id.
+        self._chiplet_router = {k: topo.chiplet_router(k) for k in range(topo.n_chiplets)}
+        self._node_router = {
+            node: topo.dest_router(node)
+            for node in [*range(topo.n_cores), *map(topo.mc_node, range(topo.n_mcs))]
+        }
 
     # -- packet lifecycle -------------------------------------------------
 
@@ -530,7 +552,12 @@ class Fabric:
     ) -> Packet:
         pid = self._next_pid
         self._next_pid += 1
-        dest_router = self.topo.dest_router(dest_node, target_chiplet)
+        if target_chiplet is None:
+            dest_router = self._node_router.get(dest_node)
+        else:
+            dest_router = self._chiplet_router.get(target_chiplet)
+        if dest_router is None:  # not a node or chiplet: raises TopologyError
+            dest_router = self.topo.dest_router(dest_node, target_chiplet)
         packet = Packet(pid, msg, src_node, dest_node, dest_router, target_chiplet)
         packet.inject_tick = tick
         packet.malicious = malicious
@@ -546,7 +573,7 @@ class Fabric:
         packet = self.new_packet(
             msg, msg.requester_id, msg.destination_id, tick, malicious=malicious
         )
-        self.hubs[self.topo.chiplet_of_core(msg.requester_id)].enqueue(packet)
+        self._core_hub[msg.requester_id].enqueue(packet)
         return packet
 
     def inject_from_core_as(
@@ -647,7 +674,9 @@ class Fabric:
             if ni.queue:
                 moved |= ni.step_egress(icycle, tick)
         for sni in self._sni_order:
-            if sni.inflight:
+            # A unit does nothing before its front packet's release cycle.
+            inflight = sni.inflight
+            if inflight and inflight[0].release_cycle <= icycle:
                 violations.extend(sni.step(icycle))
         for router in self._routers_order:
             if router.occupied:
@@ -657,9 +686,17 @@ class Fabric:
     def step_chiplets(self, tick: int) -> bool:
         moved = False
         for hub in self._hub_order:
-            if hub.ingress or hub.waiting:
+            # An empty hub cannot move: test that before the call.
+            if (hub.ingress or hub.waiting) and hub.can_move(tick):
                 moved |= hub.step(tick)
         return moved
+
+    def chiplets_idle(self, tick: int) -> bool:
+        """No hub can move a beat at ``tick``."""
+        for hub in self._hub_order:
+            if hub.can_move(tick):
+                return False
+        return True
 
     # -- accounting -------------------------------------------------------
 

@@ -14,11 +14,13 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 import json
+from typing import NamedTuple
 
 from .apu import ApuTable, Permission
 from .messages import (
-    ADDRESS_LIMIT,
     BROADCAST_ID,
+    MC_NODE_BASE,
+    PROBE_TYPES,
     CoherenceMessage,
     MsgType,
     control_flit_count,
@@ -76,11 +78,24 @@ _ALLOW = SniVerdict(VerdictKind.ALLOW)
 
 @dataclass(frozen=True)
 class SniConfig:
+    """One SNI's link.  ``node_kinds`` holds the node ids of each kind
+    (cores, memory controllers, the broadcast id) as int ranges, indexed
+    like the sender and destination kinds of the compiled rules."""
+
     kind: SniKind
     attached_router: int
     expected_requesters: range
     topo: Topology
     check_mc_traffic: bool = True
+    node_kinds: tuple[range, range, range] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        topo = self.topo
+        object.__setattr__(self, "node_kinds", (
+            range(topo.n_cores),
+            range(MC_NODE_BASE, MC_NODE_BASE + topo.n_mcs),
+            range(BROADCAST_ID, BROADCAST_ID + 1),
+        ))
 
     @classmethod
     def for_link(
@@ -149,109 +164,130 @@ _DATA_TO_CORE = frozenset(
     {MsgType.DATA, MsgType.DATA_SHARED, MsgType.DATA_EXCLUSIVE, MsgType.MEMORY_DATA}
 )
 
+_KIND_INDEX = {_CORE: 0, _MC: 1, _BCAST: 2}  # into SniConfig.node_kinds
+
+
+class _Rule(NamedTuple):
+    """LEGAL_ROUTES and PERMISSION_REQUIRED compiled for one type code."""
+
+    vnet: int
+    sender: int  # index into SniConfig.node_kinds
+    destination: int  # index into SniConfig.node_kinds
+    name: str
+    required: int  # permission code the requester's chiplet needs, 0 if none
+    required_name: str
+    threat: ThreatClass  # of a requester lacking ``required``
+    data_to_core: bool
+
+
+def _compile_rule(msg_type: MsgType) -> _Rule:
+    vnet, sender, dest = LEGAL_ROUTES[msg_type]
+    required = PERMISSION_REQUIRED.get(msg_type, Permission.NO_ACCESS)
+    return _Rule(
+        vnet, _KIND_INDEX[sender], _KIND_INDEX[dest], msg_type.name,
+        required.value, required.name,
+        ThreatClass.PASSIVE_READING if required is Permission.READ_ONLY
+        else ThreatClass.MODIFYING,
+        msg_type in _DATA_TO_CORE,
+    )
+
+
+_RULES = {msg_type: _compile_rule(msg_type) for msg_type in LEGAL_ROUTES}
+
 
 def pcm_check(msg, cfg: SniConfig, table: ApuTable) -> SniVerdict:
     """Full packet check; every input yields a verdict.
 
     ``msg`` needs the header fields only (a CoherenceMessage or a
-    PartialHeader with the address populated).
+    PartialHeader with the address populated).  The rules come from
+    ``_RULES``, the permissions from the table's compiled view: a
+    requester's chiplet covers a required code when ``cell & required
+    == required``, and may read when ``cell != 0``.
     """
-    topo = cfg.topo
+    requester = msg.requester_id
 
     # (a) requester identity
-    if msg.requester_id not in cfg.expected_requesters:
+    if requester not in cfg.expected_requesters:
         return SniVerdict.violation(
             ThreatClass.MASQUERADING,
-            f"requester {msg.requester_id} outside expected range "
+            f"requester {requester} outside expected range "
             f"{cfg.expected_requesters.start}-{cfg.expected_requesters.stop - 1}",
         )
 
     # (b) type/vnet legality and (e) address range
-    rule = LEGAL_ROUTES.get(msg.msg_type)
+    rule = _RULES.get(msg.msg_type)
     if rule is None:
         return SniVerdict.violation(
             ThreatClass.MALFORMED, f"undefined message type code {int(msg.msg_type)}"
         )
-    vnet, sender_kind, dest_kind = rule
+    vnet, sender, dest, name, required, required_name, threat, data_to_core = rule
     if msg.vnet != vnet:
         return SniVerdict.violation(
-            ThreatClass.MALFORMED,
-            f"{MsgType(msg.msg_type).name} illegal on vnet {msg.vnet}",
+            ThreatClass.MALFORMED, f"{name} illegal on vnet {msg.vnet}"
         )
-    requester_is_core = topo.is_core(msg.requester_id)
-    if sender_kind == _CORE and not requester_is_core:
+    kinds = cfg.node_kinds
+    if requester not in kinds[sender]:
+        origin = "a core" if sender == 0 else "a memory controller"
         return SniVerdict.violation(
-            ThreatClass.MALFORMED,
-            f"{MsgType(msg.msg_type).name} must originate from a core",
+            ThreatClass.MALFORMED, f"{name} must originate from {origin}"
         )
-    if sender_kind == _MC and not topo.is_mc(msg.requester_id):
-        return SniVerdict.violation(
-            ThreatClass.MALFORMED,
-            f"{MsgType(msg.msg_type).name} must originate from a memory controller",
-        )
-    if msg.address is None:
+    address = msg.address
+    if address is None:
         return SniVerdict.violation(ThreatClass.MALFORMED, "address missing")
-    if not 0 <= msg.address < min(ADDRESS_LIMIT, table.address_limit):
+    view = table.view
+    if not 0 <= address < view.limit:
         return SniVerdict.violation(
-            ThreatClass.MALFORMED, f"address {msg.address:#x} out of range"
+            ThreatClass.MALFORMED, f"address {address:#x} out of range"
         )
-
-    region, entry = table.lookup(msg.address)
+    region = address >> view.shift
+    cells = view.cells[region]
 
     # (c) destination legality
-    if dest_kind == _MC:
-        dest_ok = topo.is_mc(msg.destination_id)
-    elif dest_kind == _CORE:
-        dest_ok = topo.is_core(msg.destination_id)
-    else:
-        dest_ok = msg.destination_id == BROADCAST_ID
-    if not dest_ok:
+    destination = msg.destination_id
+    if destination not in kinds[dest]:
         return SniVerdict.violation(
-            ThreatClass.DIVERTING,
-            f"destination {msg.destination_id} illegal for {MsgType(msg.msg_type).name}",
+            ThreatClass.DIVERTING, f"destination {destination} illegal for {name}"
         )
-    if msg.msg_type in _DATA_TO_CORE:
-        dest_chiplet = topo.chiplet_of_core(msg.destination_id)
-        if not entry.permission_of(dest_chiplet).allows_read:
+    per_chiplet = cfg.topo.cores_per_chiplet
+    if data_to_core:
+        dest_chiplet = destination // per_chiplet
+        if cells[dest_chiplet] == 0:
             return SniVerdict.violation(
                 ThreatClass.DIVERTING,
                 f"data diverted to chiplet {dest_chiplet} without access to region {region}",
             )
 
     # (d) region permission of the requester's chiplet
-    required = PERMISSION_REQUIRED.get(msg.msg_type)
-    if required is not None and requester_is_core:
-        chiplet = topo.chiplet_of_core(msg.requester_id)
-        if not entry.permission_of(chiplet).covers(required):
-            threat = (
-                ThreatClass.PASSIVE_READING
-                if required is Permission.READ_ONLY
-                else ThreatClass.MODIFYING
-            )
+    if required and requester in kinds[0]:
+        chiplet = requester // per_chiplet
+        if cells[chiplet] & required != required:
             return SniVerdict.violation(
                 threat,
-                f"{MsgType(msg.msg_type).name} from chiplet {chiplet} lacking "
-                f"{required.name} on region {region}",
+                f"{name} from chiplet {chiplet} lacking {required_name} on region {region}",
             )
 
-    return SniVerdict.allow()
+    return _ALLOW
 
 
 def sni2_filter(msg, target_chiplet: int, cfg: SniConfig, table: ApuTable) -> SniVerdict:
     """Broadcast snooping filter: probe copies toward no-access chiplets
     become NACKs sent straight back to the original requester."""
-    if msg.msg_type not in (MsgType.PROBE, MsgType.PROBE_INV):
-        return SniVerdict.allow()
-    _, entry = table.lookup(msg.address)
-    if entry.permission_of(target_chiplet) is not Permission.NO_ACCESS:
-        return SniVerdict.allow()
+    if msg.msg_type not in PROBE_TYPES:
+        return _ALLOW
+    address = msg.address
+    view = table.view
+    region = address >> view.shift
+    if address < 0 or region >= len(view.cells):
+        table.lookup(address)  # raises AddressOutOfRange
+    if view.cells[region][target_chiplet]:
+        return _ALLOW  # not NO_ACCESS
     original_requester = msg.cur_owner
     replacement = CoherenceMessage(
         msg_type=MsgType.NACK,
         requester_id=cfg.topo.rep_core(target_chiplet),
         destination_id=original_requester,
         vnet=2,
-        address=msg.address,
+        address=address,
     )
     return SniVerdict.rewrite(replacement, original_requester)
 
@@ -288,10 +324,14 @@ class ViolationRecord:
         )
 
 
+_UNJUDGED = 1 << 62  # release cycle of a packet not judged yet
+
+
 class _Progress:
     """One packet in the unit: its flits ``packet.flits[:arrived]`` have
     come in and ``[:forwarded]`` have left.  ``header`` is the judged
-    header, kept for the violation record (None if the unit is disabled)."""
+    header, kept for the violation record (None if the unit is disabled).
+    ``release_cycle`` is ``_UNJUDGED`` until the header has arrived."""
 
     __slots__ = (
         "packet", "arrived", "forwarded", "verdict", "header",
@@ -305,7 +345,7 @@ class _Progress:
         self.verdict: SniVerdict | None = None
         self.header = None
         self.final_header_cycle = -1
-        self.release_cycle = -1
+        self.release_cycle = _UNJUDGED
 
 
 @dataclass
@@ -351,6 +391,9 @@ class SniUnit:
         self.enabled = enabled
         self.rewrite_enabled = rewrite_enabled
         self.header_flits = control_flit_count(width)
+        self.latency = cfg.latency if enabled else 0
+        self.filters_probes = cfg.kind is SniKind.SNI2
+        self.kind_name = cfg.kind.value
         self.inflight: deque[_Progress] = deque()
         self.held = 0
         self.stats = SniStats()
@@ -370,26 +413,23 @@ class SniUnit:
         if entry.arrived == self.header_flits:
             entry.final_header_cycle = cycle
             entry.verdict = self._judge(entry)
-            latency = self.cfg.latency if self.enabled else 0
-            entry.release_cycle = cycle + latency
+            entry.release_cycle = cycle + self.latency
 
     def _judge(self, entry: _Progress) -> SniVerdict:
         if not self.enabled:
-            return SniVerdict.allow()
+            return _ALLOW
         self.stats.checked += 1
         packet = entry.packet
-        fields = extract_stage(packet.flits, self.width, self.header_flits)
-        entry.header = fields
-        if self.cfg.kind is SniKind.SNI2 and packet.target_chiplet is not None:
-            verdict = SniVerdict.allow()
+        fields = entry.header = extract_stage(packet.flits, self.width, self.header_flits)
+        table = self.table_getter()
+        if self.filters_probes and packet.target_chiplet is not None:
+            verdict = _ALLOW
             if self.cfg.check_mc_traffic:
-                verdict = pcm_check(fields, self.cfg, self.table_getter())
+                verdict = pcm_check(fields, self.cfg, table)
             if verdict.outcome is VerdictKind.ALLOW and self.rewrite_enabled:
-                verdict = sni2_filter(
-                    fields, packet.target_chiplet, self.cfg, self.table_getter()
-                )
+                verdict = sni2_filter(fields, packet.target_chiplet, self.cfg, table)
         else:
-            verdict = pcm_check(fields, self.cfg, self.table_getter())
+            verdict = pcm_check(fields, self.cfg, table)
         if verdict.outcome is VerdictKind.ALLOW:
             self.stats.allowed += 1
         return verdict
@@ -409,19 +449,23 @@ class SniUnit:
         entry.verdict = SniVerdict.allow()
 
     def step(self, cycle: int) -> list[ViolationRecord]:
-        """Advance one interposer cycle; at most one flit leaves the unit."""
+        """Advance one interposer cycle; at most one flit leaves the unit.
+        Nothing happens while ``cycle`` is before the front packet's
+        ``release_cycle``."""
         violations: list[ViolationRecord] = []
-        while self.inflight:
-            entry = self.inflight[0]
-            if entry.verdict is None or cycle < entry.release_cycle:
+        inflight = self.inflight
+        while inflight:
+            entry = inflight[0]
+            if cycle < entry.release_cycle:
                 break
-            if entry.verdict.outcome is VerdictKind.VIOLATION:
+            outcome = entry.verdict.outcome
+            if outcome is VerdictKind.VIOLATION:
                 violations.append(
                     ViolationRecord(
                         cycle=entry.release_cycle,
                         router=self.cfg.attached_router,
                         port=Port.LOCAL.value,
-                        sni_kind=self.cfg.kind.value,
+                        sni_kind=self.kind_name,
                         threat=entry.verdict.threat,
                         detail=entry.verdict.detail,
                         message=_render_fields(entry.header),
@@ -431,20 +475,20 @@ class SniUnit:
                 self.stats.violations += 1
                 self.held -= entry.arrived
                 self.drop_packet(entry.packet, cycle)
-                self.inflight.popleft()
+                inflight.popleft()
                 continue
-            if entry.verdict.outcome is VerdictKind.REWRITE:
+            if outcome is VerdictKind.REWRITE:
                 self._apply_rewrite(entry, cycle)
             packet = entry.packet
-            if entry.forwarded < entry.arrived:
-                if self.forward(packet.flits[entry.forwarded], packet):
-                    if entry.forwarded == 0:
-                        packet.sni_delay = cycle - entry.final_header_cycle
-                        packet.sni_kind = self.cfg.kind.value
-                    entry.forwarded += 1
-                    self.held -= 1
-                    if entry.forwarded == packet.flit_total:
-                        self.inflight.popleft()
+            sent = entry.forwarded
+            if sent < entry.arrived and self.forward(packet.flits[sent], packet):
+                if sent == 0:
+                    packet.sni_delay = cycle - entry.final_header_cycle
+                    packet.sni_kind = self.kind_name
+                entry.forwarded = sent + 1
+                self.held -= 1
+                if sent + 1 == packet.flit_total:
+                    inflight.popleft()
             break
         return violations
 

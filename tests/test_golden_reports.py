@@ -102,6 +102,16 @@ def _rewrite_off():
     return replace(_observer_sharing(), sni2_rewrite=False, label="rewrite-off")
 
 
+def _hotspot_short():
+    """Every core hammers MC 1: full hub egress and blocked links."""
+    return replace(
+        presets.baseline(64, seed=8),
+        workload=WorkloadSpec(kind="hotspot", ops_per_core=8, mean_gap_ticks=2,
+                              hot_mc=1),
+        label="hotspot-short",
+    )
+
+
 CONFIGS = {
     "desk-scale-w64": lambda: presets.desk_scale(seed=0),
     "desk-scale-w128": _desk_w128,
@@ -113,6 +123,7 @@ CONFIGS = {
     "narrow-vcs": _narrow_vcs,
     "sni-off": _sni_off,
     "rewrite-off": _rewrite_off,
+    "hotspot-short": _hotspot_short,
 }
 
 
