@@ -9,7 +9,8 @@ Subcommands:
   validate-config  check flags/files without simulating
 
 Exit codes: 0 success, 2 security halt, 3 deadlock/budget, 64 bad
-configuration or usage.
+configuration or usage, 70 a broken protocol invariant (a simulator
+bug; ``error: ...`` is printed in place of a report).
 """
 
 from __future__ import annotations
@@ -23,8 +24,10 @@ from dataclasses import replace
 from . import presets
 from .apu import ApuError, ApuTable
 from .attacks import AttackError, load_scenarios, standard_suite
+from .coherence import ProtocolAssertionError
 from .harness import (
     EXIT_CONFIG,
+    EXIT_PROTOCOL,
     ConfigError,
     RunConfig,
     Simulator,
@@ -280,12 +283,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, WorkloadError, AttackError, ApuError, KeyError) as exc:
+    except (ConfigError, WorkloadError, AttackError, ApuError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except OSError as exc:
+    except ProtocolAssertionError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return EXIT_PROTOCOL
 
 
 if __name__ == "__main__":

@@ -184,10 +184,6 @@ class MemoryOracle:
                     f"saw {value:#x}, oracle says {expected:#x}"
                 )
 
-    @property
-    def ok(self) -> bool:
-        return not self.divergences
-
 
 class Dram:
     """Flat backing store with deterministic pristine content."""
@@ -242,19 +238,19 @@ class Directory:
         self.inbox.append((msg, tick))
 
     def _probe(self, kind: MsgType, address: int, requester: int, chiplets) -> int:
+        # A message is frozen, so one serves every target chiplet; each
+        # packet still gets its own flits.
+        probe = CoherenceMessage(
+            msg_type=kind,
+            requester_id=self.node,
+            destination_id=BROADCAST_ID,
+            vnet=1,
+            address=address,
+            cur_owner=requester,
+        )
         for chiplet in chiplets:
-            self.send(
-                CoherenceMessage(
-                    msg_type=kind,
-                    requester_id=self.node,
-                    destination_id=BROADCAST_ID,
-                    vnet=1,
-                    address=address,
-                    cur_owner=requester,
-                ),
-                target_chiplet=chiplet,
-            )
-        return len(list(chiplets))
+            self.send(probe, target_chiplet=chiplet)
+        return len(chiplets)
 
     def _handle_request(self, msg: CoherenceMessage, icycle: int) -> None:
         address = msg.address
@@ -499,11 +495,13 @@ class Core:
 
     def handle(self, msg: CoherenceMessage, tick: int) -> None:
         mtype = msg.msg_type
-        if mtype is MsgType.WB_ACK:
-            self._finish_eviction(msg, tick)
-            return
-        if mtype is MsgType.WB_NACK:
-            self.evict_retry = tick + self.retry_backoff
+        if mtype is MsgType.WB_ACK or mtype is MsgType.WB_NACK:
+            if msg.address != self.evict_addr:  # no such eviction: a stray
+                self.stats_strays += 1
+            elif mtype is MsgType.WB_ACK:
+                self._finish_eviction(msg, tick)
+            else:
+                self.evict_retry = tick + self.retry_backoff
             return
         txn = self.txn
         if txn is None or msg.address != txn.address:

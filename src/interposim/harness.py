@@ -19,12 +19,21 @@ that gate ``Core.step`` (``evict_retry``, ``retry_tick``,
 simulator keeps a heap of (wake tick, core id), and every caller that
 can change those fields re-posts the core: the loop after ``step``, the
 delivery path after ``handle`` (the core may act in the same tick), and
-``run`` for every core at its start.  A core awaiting a response holds
-off fast-forward through idle ticks, so a lost response ends in the
-watchdog's deadlock halt.
+``run`` for every core at its start.
+
+After each tick's work and the watchdog check, one rule picks the next
+tick.  While the system is quiet (no live packet, every directory idle,
+no core awaiting a response) only a core wake, an attack trigger or a
+permission update can act: the loop jumps to the earliest, restarting
+the watchdog there, and with none pending the run completes at the tick
+rounded up to a multiple of 8.  Otherwise it jumps only over chiplet
+ticks at which no hub can move, to the next interposer cycle, core wake
+or attack trigger; such a jump stays inside one interposer cycle, so a
+lost response still ends in the watchdog's halt.
 
 Exit codes: 0 completed, 2 security halt (machine-check), 3 deadlock or
-exhausted cycle budget, 64 invalid configuration.
+exhausted cycle budget, 64 invalid configuration, 70 a broken protocol
+invariant (``ProtocolAssertionError``: a simulator bug).
 """
 
 from __future__ import annotations
@@ -32,6 +41,8 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass, field
+from functools import partial
+from types import MappingProxyType
 
 from .apu import ApuTable, Permission
 from .attacks import AttackScenario
@@ -45,7 +56,7 @@ from .coherence import (
     SwmrChecker,
 )
 from .messages import ADDRESS_LIMIT, LINK_WIDTHS, PROBE_TYPES
-from .noc import CLOCK_RATIO, Fabric, Packet, nearest_rank
+from .noc import CLOCK_RATIO, Fabric, Packet
 from .sni import SniConfig, SniKind, SniUnit
 from .topology import Topology
 from . import workloads
@@ -55,6 +66,7 @@ EXIT_OK = 0
 EXIT_SECURITY = 2
 EXIT_DEADLOCK = 3
 EXIT_CONFIG = 64
+EXIT_PROTOCOL = 70  # sysexits EX_SOFTWARE: an internal invariant broke
 
 VC_CHOICES = (4, 6, 8, 10)
 
@@ -177,13 +189,6 @@ class RunConfig:
         }
 
 
-def percentile(sorted_values: list[int], fraction: float) -> int:
-    """Nearest-rank percentile over pre-sorted values."""
-    if not sorted_values:
-        return 0
-    return sorted_values[nearest_rank(len(sorted_values), fraction) - 1]
-
-
 @dataclass
 class SimReport:
     config: dict
@@ -243,9 +248,6 @@ class Simulator:
         self.topo = cfg.topology()
         topo = self.topo
         base_table = cfg.permissions or ApuTable.uniform(Permission.READ_WRITE)
-        # One replica per interface router, swapped together at privileged
-        # updates so they stay bitwise identical.
-        self.replicas: dict[int, ApuTable] = {}
         self.tick = 0
         self.swmr = SwmrChecker()
         self.oracle = MemoryOracle()
@@ -261,15 +263,13 @@ class Simulator:
             cfg.interposer_width,
             cfg.vc_per_vnet,
             cfg.vc_depth,
-            sni_factory=self._sni_factory,
+            sni_factory=partial(self._sni_factory, base_table),
             deliver_chiplet=self._deliver_chiplet,
             deliver_mc=self._deliver_mc,
             enable_trace=cfg.enable_trace,
         )
-        for unit in list(self.fabric.chiplet_snis.values()) + list(
-            self.fabric.mc_snis.values()
-        ):
-            self.replicas[unit.cfg.attached_router] = base_table
+        # Each SNI holds its interface router's permission table replica.
+        self._snis = [*self.fabric.chiplet_snis.values(), *self.fabric.mc_snis.values()]
         self._pending_updates = sorted(cfg.permission_updates)
 
         self.directories = {
@@ -317,13 +317,15 @@ class Simulator:
 
     # -- wiring -----------------------------------------------------------
 
-    def _sni_factory(self, kind: SniKind, index: int, forward, drop) -> SniUnit:
+    def _sni_factory(
+        self, table: ApuTable, kind: SniKind, index: int, forward, drop
+    ) -> SniUnit:
         cfg = self.cfg
         sni_cfg = SniConfig.for_link(kind, index, self.topo, cfg.check_mc_traffic)
         return SniUnit(
             sni_cfg,
             cfg.interposer_width,
-            table_getter=lambda rid=sni_cfg.attached_router: self.replicas[rid],
+            table=table,
             forward=forward,
             drop_packet=drop,
             enabled=cfg.sni_enabled,
@@ -391,43 +393,25 @@ class Simulator:
             heapq.heappop(heap)
         return heap[0][0] if heap else None
 
-    def _all_cores_done(self) -> bool:
-        return not self._waiting and self._next_wake() is None
-
     def _dirs_idle(self) -> bool:
         return all(d.idle for d in self.directories.values())
-
-    def _next_event_tick(self, tick: int) -> int | None:
-        """Earliest future tick at which an idle system wakes up."""
-        if self._waiting:
-            # A core waits for a response that nothing carries: step on
-            # tick by tick so that the watchdog can fire.
-            return tick + 1
-        candidates = []
-        wake = self._next_wake()
-        if wake is not None:
-            candidates.append(wake)
-        if self._attack_queue:
-            candidates.append(self._attack_queue[0].trigger_tick)
-        if self._pending_updates:
-            candidates.append(self._pending_updates[0][0] * CLOCK_RATIO)
-        if not candidates:
-            return None
-        return max(tick + 1, min(candidates))
 
     def _apply_permission_updates(self, icycle: int) -> None:
         while self._pending_updates and self._pending_updates[0][0] <= icycle:
             _, region, chiplet, perm = self._pending_updates.pop(0)
             # A single privileged write lands in every replica between
             # cycles: swap all snapshots at once.
-            sample = next(iter(self.replicas.values()))
-            updated = sample.privileged_update(region, chiplet, perm)
-            for rid in self.replicas:
-                self.replicas[rid] = updated
+            updated = self._snis[0].table.privileged_update(region, chiplet, perm)
+            for unit in self._snis:
+                unit.table = updated
+
+    @property
+    def replicas(self) -> MappingProxyType:
+        """Read-only view of the table each interface router's SNI holds."""
+        return MappingProxyType({u.cfg.attached_router: u.table for u in self._snis})
 
     def replicas_identical(self) -> bool:
-        images = {t.serialize() for t in self.replicas.values()}
-        return len(images) == 1
+        return len({unit.table.serialize() for unit in self._snis}) == 1
 
     def run(self) -> SimReport:
         cfg = self.cfg
@@ -490,33 +474,33 @@ class Simulator:
                 halted = True
                 break
 
-            if tick % 8 == 0 and not fabric.registry and self._dirs_idle():
-                if (
-                    self._all_cores_done()
-                    and not attack_queue
-                    and not self._pending_updates
-                ):
-                    self.halt_tick = tick
-                    halted = True
+            # The next tick at which anything can act.
+            nxt = tick + 1
+            quiet = not fabric.registry and not self._waiting and self._dirs_idle()
+            if quiet or (nxt % CLOCK_RATIO and fabric.chiplets_idle(nxt)):
+                candidates = []
+                wake = self._next_wake()
+                if wake is not None:
+                    candidates.append(wake)
+                if attack_queue:
+                    candidates.append(attack_queue[0].trigger_tick)
+                if not quiet:
+                    # Before the next interposer cycle only a core or attack acts.
+                    candidates.append(nxt - nxt % CLOCK_RATIO + CLOCK_RATIO)
+                elif self._pending_updates:
+                    candidates.append(self._pending_updates[0][0] * CLOCK_RATIO)
+                elif not candidates:
+                    # Complete: halt on the 8-tick grid every report carries.
+                    tick += -tick % 8
+                    if tick <= cfg.max_ticks:
+                        self.halt_tick = tick
+                        halted = True
                     break
-                nxt = self._next_event_tick(tick)
-                if nxt is not None and nxt > tick + 1:
-                    # Fast-forward through a provably idle stretch,
-                    # preserving the 4-tick interposer alignment by
-                    # simply resuming the normal loop at the target.
-                    tick = nxt
-                    last_progress = tick // CLOCK_RATIO
-                    continue
-            tick += 1
-            if tick % CLOCK_RATIO and fabric.chiplets_idle(tick):
-                # Until the next interposer cycle only a core or an attack
-                # can act: skip to the earliest of the three.
-                nxt = tick - tick % CLOCK_RATIO + CLOCK_RATIO
-                if wakeups and wakeups[0][0] < nxt:
-                    nxt = wakeups[0][0]
-                if attack_queue and attack_queue[0].trigger_tick < nxt:
-                    nxt = attack_queue[0].trigger_tick
-                tick = nxt
+                nxt = max(nxt, min(candidates))
+                if quiet and nxt > tick + 1:
+                    # Nothing is stuck in a quiet stretch: restart the watchdog.
+                    last_progress = nxt // CLOCK_RATIO
+            tick = nxt
         if not halted:
             self.halt_cause = "budget"
             self.halt_tick = cfg.max_ticks

@@ -420,10 +420,3 @@ def extract_stage(stream: list[Flit], width: int, cycle: int) -> PartialHeader:
         address,
     ))
 
-
-def golden_line(msg: CoherenceMessage, width: int) -> str:
-    """One golden-vector record: width, hex flit payloads, canonical text."""
-    flits = encode(msg, width)
-    hex_digits = width // 4
-    payloads = ",".join(f"{f.payload:0{hex_digits}x}" for f in flits)
-    return f"w{width} | {payloads} | {msg.canonical_text()}"

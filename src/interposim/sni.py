@@ -374,7 +374,7 @@ class SniUnit:
         self,
         cfg: SniConfig,
         width: int,
-        table_getter,
+        table: ApuTable,
         forward,
         drop_packet=None,
         enabled: bool = True,
@@ -382,7 +382,7 @@ class SniUnit:
     ):
         self.cfg = cfg
         self.width = width
-        self.table_getter = table_getter
+        self.table = table  # swapped by the harness at privileged updates
         self.forward = forward
         # drop_packet(packet, cycle, replacement=None, dest_node=None)
         # retires a discarded packet; given a replacement message, it
@@ -421,7 +421,7 @@ class SniUnit:
         self.stats.checked += 1
         packet = entry.packet
         fields = entry.header = extract_stage(packet.flits, self.width, self.header_flits)
-        table = self.table_getter()
+        table = self.table
         if self.filters_probes and packet.target_chiplet is not None:
             verdict = _ALLOW
             if self.cfg.check_mc_traffic:

@@ -6,7 +6,8 @@ import json
 import pytest
 
 from interposim.cli import main
-from interposim.harness import EXIT_CONFIG, REPORT_SCHEMA
+from interposim.coherence import ProtocolAssertionError
+from interposim.harness import EXIT_CONFIG, EXIT_PROTOCOL, REPORT_SCHEMA, Simulator
 
 
 class TestRun:
@@ -55,6 +56,39 @@ class TestRun:
             "--permissions", "attack-demo", "--attacks", str(attacks),
         ])
         assert code == 2
+
+    def test_forged_wb_ack_is_a_stray(self, tmp_path):
+        """A WB_ACK that no eviction awaits, let through with the SNIs
+        off, is counted and dropped: the run completes."""
+        attacks = tmp_path / "forged.json"
+        attacks.write_text(json.dumps([{
+            "name": "forged-wb-ack",
+            "expected_threat": "masquerading",
+            "src_core": 0,
+            "msg_type": 3,
+            "requester": 64,
+            "destination": 2,
+            "vnet": 1,
+            "address": "0x40",
+        }]), encoding="utf-8")
+        out = tmp_path / "r.json"
+        code = main([
+            "run", "--preset", "desk-scale", "--sni", "off", "--ops", "5",
+            "--attacks", str(attacks), "--out", str(out),
+        ])
+        assert code == 0
+        assert json.loads(out.read_text(encoding="utf-8"))["halt"]["cause"] == "completed"
+
+    def test_protocol_error_is_exit_70(self, monkeypatch, capsys):
+        def broken(self):
+            raise ProtocolAssertionError("core 0 transaction on 0x40 finished without data")
+
+        monkeypatch.setattr(Simulator, "run", broken)
+        code = main(["run", "--preset", "desk-scale", "--ops", "5"])
+        assert code == EXIT_PROTOCOL == 70
+        assert capsys.readouterr().err == (
+            "error: core 0 transaction on 0x40 finished without data\n"
+        )
 
 
 class TestCompare:

@@ -7,6 +7,7 @@ import pytest
 
 from interposim.coherence import (
     CacheState,
+    Core,
     Directory,
     Dram,
     MemoryOracle,
@@ -101,20 +102,24 @@ class TestSwmrChecker:
         assert checker.violations
 
 
+def _oracle_ok(oracle: MemoryOracle) -> bool:
+    return not oracle.divergences
+
+
 class TestMemoryOracle:
     def test_replay_matches(self):
         oracle = MemoryOracle()
         oracle.commit(0, 0, "R", 0x40, initial_line_value(0x40))
         oracle.commit(1, 1, "W", 0x40, 77)
         oracle.commit(2, 0, "R", 0x40, 77)
-        assert oracle.ok
+        assert _oracle_ok(oracle)
 
     def test_corrupted_read_detected(self):
         """Negative control: a wrong load value must produce a divergence."""
         oracle = MemoryOracle()
         oracle.commit(0, 0, "W", 0x40, 77)
         oracle.commit(1, 1, "R", 0x40, 78)
-        assert not oracle.ok
+        assert not _oracle_ok(oracle)
         assert "oracle says" in oracle.divergences[0]
 
 
@@ -210,6 +215,43 @@ class TestDirectory:
         h = DirectoryHarness(topo8)
         h.request(CoherenceMessage(MsgType.ACK, 5, 64, 2, 0x100))
         assert h.dir.stats_strays == 1
+
+
+class TestWriteBackResponses:
+    """A WB_ACK or WB_NACK that matches no pending eviction, as a forged
+    one that got past the SNIs would, is a stray like any other
+    unmatched response."""
+
+    @staticmethod
+    def _core(topo):
+        sent = []
+        core = Core(1, topo, PrivateCache(4), lambda msg, tick: sent.append(msg),
+                    lambda *commit: None)
+        return core, sent
+
+    @pytest.mark.parametrize("mtype", [MsgType.WB_ACK, MsgType.WB_NACK], ids=lambda m: m.name)
+    def test_no_eviction_pending(self, topo_small, mtype):
+        core, sent = self._core(topo_small)
+        core.handle(CoherenceMessage(mtype, topo_small.mc_node(0), 1, 1, 0x40), 10)
+        assert core.stats_strays == 1
+        assert sent == []
+        assert core.evict_retry is None
+        assert core.done
+
+    def test_other_address_leaves_the_eviction_pending(self, topo_small):
+        core, sent = self._core(topo_small)
+        core.cache.install(0x40, CacheState.M, value_to_block(7))
+        core.evict_addr = 0x40
+        home = topo_small.mc_node(topo_small.home_mc(0x40))
+        core.handle(CoherenceMessage(MsgType.WB_ACK, home, 1, 1, 0x80), 10)
+        assert core.stats_strays == 1
+        assert sent == []
+        assert core.evict_addr == 0x40
+        core.handle(CoherenceMessage(MsgType.WB_ACK, home, 1, 1, 0x40), 11)
+        (writeback,) = sent
+        assert writeback.msg_type is MsgType.WRITEBACK_DATA
+        assert core.evict_addr is None
+        assert core.stats_strays == 1
 
 
 def run_sweep(cfg):

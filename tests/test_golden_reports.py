@@ -112,6 +112,20 @@ def _hotspot_short():
     )
 
 
+def _quiet_updates():
+    """Sparse traffic with long quiet stretches; one permission update
+    falls due in a quiet stretch and the last comes long after the
+    final op.  Both grant rights the table already gives."""
+    return replace(
+        presets.desk_scale(seed=0),
+        workload=WorkloadSpec(kind="uniform", ops_per_core=6, read_fraction=0.7,
+                              footprint_lines=16, mean_gap_ticks=400),
+        permission_updates=((301, 7, 1, Permission.READ_WRITE),
+                            (20000, 6, 0, Permission.READ_WRITE)),
+        label="quiet-updates",
+    )
+
+
 CONFIGS = {
     "desk-scale-w64": lambda: presets.desk_scale(seed=0),
     "desk-scale-w128": _desk_w128,
@@ -124,6 +138,7 @@ CONFIGS = {
     "sni-off": _sni_off,
     "rewrite-off": _rewrite_off,
     "hotspot-short": _hotspot_short,
+    "quiet-updates": _quiet_updates,
 }
 
 

@@ -15,9 +15,9 @@ from interposim.harness import (
     ConfigError,
     RunConfig,
     Simulator,
-    percentile,
 )
-from interposim.noc import LatencyStats, Packet
+from interposim.noc import LatencyStats, Packet, nearest_rank
+from interposim.sni import SniUnit
 from interposim.messages import CoherenceMessage, MsgType
 from interposim.workloads import WorkloadSpec
 
@@ -64,6 +64,14 @@ class TestConfigValidation:
     def test_simulator_rejects_invalid_config(self):
         with pytest.raises(ConfigError):
             Simulator(RunConfig(interposer_width=96))
+
+
+def percentile(sorted_values: list[int], fraction: float) -> int:
+    """Nearest-rank percentile over pre-sorted values: the reference for
+    ``LatencyStats.percentile``."""
+    if not sorted_values:
+        return 0
+    return sorted_values[nearest_rank(len(sorted_values), fraction) - 1]
 
 
 def _packet(inject, grant, deliver, hops):
@@ -193,6 +201,29 @@ class TestPermissionUpdates:
             assert table.permission(1 << shift, 0) is Permission.NO_ACCESS
             assert table.permission(0, 0) is Permission.READ_WRITE
 
+    def test_an_sni_that_misses_the_swap_is_reported(self):
+        """``replicas_identical`` compares the tables the SNIs hold."""
+
+        class KeepsItsTable(SniUnit):
+            def __setattr__(self, name, value):
+                if name != "table" or "table" not in vars(self):
+                    super().__setattr__(name, value)
+
+        cfg = replace(
+            presets.desk_scale(seed=0),
+            workload=WorkloadSpec(kind="idle"),
+            max_ticks=200,
+            permission_updates=((3, 1, 0, Permission.NO_ACCESS),),
+        )
+        sim = Simulator(cfg)
+        stale = sim.fabric.mc_snis[1]
+        stale.__class__ = KeepsItsTable
+        report = sim.run()
+        assert report.counters["replicas_identical"] is False
+        shift = cfg.permissions.region_shift
+        table = sim.replicas[stale.cfg.attached_router]
+        assert table.permission(1 << shift, 0) is Permission.READ_WRITE
+
     def test_update_changes_checker_outcome(self):
         """Revoking a region mid-run turns later benign reads into halts."""
         cfg = replace(
@@ -230,7 +261,8 @@ class TestScheduler:
         # The second read is due long after the watchdog fires.
         sim.cores[1].load_ops([(5, "R", 0x40, 0), (2000, "R", 0xC0, 0)])
         # A request that was never sent: no response will ever come, and
-        # the waiting core must hold off fast-forward until the watchdog.
+        # the waiting core must keep the system from being quiet until
+        # the watchdog fires.
         sim.cores[0].txn = _Txn(MsgType.GETS, 0x80, "R", 0, had_line=False)
         report = sim.run()
         assert report.halt_cause == "deadlock"

@@ -28,11 +28,18 @@ from interposim.messages import (
     encode,
     extract_stage,
     flit_count,
-    golden_line,
     pack_header,
 )
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_vectors.txt"
+
+
+def golden_line(msg: CoherenceMessage, width: int) -> str:
+    """One golden-vector record: width, hex flit payloads, canonical text."""
+    flits = encode(msg, width)
+    hex_digits = width // 4
+    payloads = ",".join(f"{f.payload:0{hex_digits}x}" for f in flits)
+    return f"w{width} | {payloads} | {msg.canonical_text()}"
 
 
 def _random_message(rng: random.Random) -> CoherenceMessage:

@@ -129,7 +129,7 @@ class FabricHarness:
 
     def _sni_factory(self, kind, index, forward, spawn):
         return SniUnit(SniConfig.for_link(kind, index, self.topo), self.width,
-                       lambda: self.table, forward, spawn,
+                       self.table, forward, spawn,
                        enabled=self.sni_enabled)
 
     def _deliver_chiplet(self, chiplet, packet, tick):

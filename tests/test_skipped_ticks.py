@@ -1,12 +1,16 @@
-"""Skipping idle chiplet ticks must not change a report byte.
+"""Skipping ticks must not change a report byte.
 
-``Simulator.run`` steps only the hubs that can move a beat, and after a
-tick that no hub can use it jumps to the next interposer cycle, core
-wake or attack trigger.  Each config below runs twice: as shipped, and
-with ``ChipletHub.can_move`` patched to always say yes, which steps
-every hub with work on every tick and never skips one.  The two
-``to_json()`` outputs must be equal, and the shipped run must run the
-loop on fewer ticks than it simulates.
+``Simulator.run`` steps only the hubs that can move a beat and works out
+the next tick at which anything can act: through a quiet stretch the
+next core wake, attack trigger or permission update, and after a tick
+that no hub can use the next interposer cycle, core wake or attack
+trigger.  Each config below runs three times: as shipped; with
+``ChipletHub.can_move`` patched to always say yes, which steps every hub
+with work on every tick and never skips a chiplet tick; and under
+``reference_loop.run_reference``, which skips no tick and steps every
+directory, boundary, MC NI, SNI, router, hub and core with no gate.  The
+three ``to_json()`` outputs must be equal, and the shipped run must run
+the loop on fewer ticks than it simulates.
 """
 
 from __future__ import annotations
@@ -21,12 +25,13 @@ from interposim.coherence import _Txn
 from interposim.harness import Simulator
 from interposim.messages import MsgType
 from interposim.workloads import WorkloadSpec
+from reference_loop import run_reference
 from test_golden_reports import CONFIGS
 
 
 def _lose_a_response(sim: Simulator) -> Simulator:
     """Core 0 waits for a response to a request that was never sent, so
-    the idle fast-forward steps on tick by tick."""
+    the system never turns quiet and the loop makes no quiet jump."""
     sim.cores[0].txn = _Txn(MsgType.GETS, 0x80, "R", 0, had_line=False)
     return sim
 
@@ -90,5 +95,6 @@ def test_skipping_idle_ticks_changes_no_report(name):
     shipped, bodies, ticks = _run(BUILDS[name], every_tick=False)
     stepped, stepped_bodies, _ = _run(BUILDS[name], every_tick=True)
     assert shipped == stepped
+    assert shipped == run_reference(BUILDS[name]()).to_json()
     assert bodies < ticks
     assert bodies < stepped_bodies

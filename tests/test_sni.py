@@ -215,7 +215,7 @@ class _Harness:
         self.cycle = 0
         self.unit = SniUnit(
             cfg, width,
-            table_getter=lambda: self.table,
+            table=self.table,
             forward=self._forward,
             drop_packet=self._drop,
             enabled=enabled,
