@@ -5,7 +5,8 @@ Subcommands:
   compare          run a configuration with and without the SNIs (or at
                    both link widths) and emit a CSV of latency aggregates
   attack-suite     launch each hostile template in its own run and print
-                   the expected-vs-detected matrix
+                   the expected-vs-detected matrix (on the attack-demo
+                   table unless --permissions is given)
   validate-config  check flags/files without simulating
 
 Exit codes: 0 success, 2 security halt, 3 deadlock/budget, 64 bad
@@ -22,7 +23,7 @@ import sys
 from dataclasses import replace
 
 from . import presets
-from .apu import ApuError, ApuTable
+from .apu import ApuError, ApuTable, Permission
 from .attacks import AttackError, load_scenarios, standard_suite
 from .coherence import ProtocolAssertionError
 from .harness import (
@@ -195,13 +196,17 @@ def _cmd_compare(args) -> int:
 
 def _cmd_attack_suite(args) -> int:
     cfg = _build_config(args)
-    if cfg.permissions is None:
-        cfg = replace(cfg, permissions=presets.attack_demo_table())
+    if args.permissions is None:
+        # The preset's own table may deny nothing: attack the demo table.
+        cfg = replace(
+            cfg, permissions=presets.attack_demo_table(n_chiplets=cfg.n_chiplets)
+        )
     topo = cfg.topology()
     if args.attacks:
         scenarios = load_scenarios(args.attacks, topo)
     else:
-        scenarios = standard_suite(topo, cfg.permissions)
+        table = cfg.permissions or ApuTable.uniform(Permission.READ_WRITE)
+        scenarios = standard_suite(topo, table)
     all_ok = True
     print(f"{'scenario':<28} {'expected':<16} {'detected':<16} result")
     for scenario in scenarios:

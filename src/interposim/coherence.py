@@ -29,6 +29,9 @@ from .messages import (
 from .topology import LINE_SHIFT, Topology
 
 LINE_BYTES = 1 << LINE_SHIFT
+# Ticks before a core re-sends a NACKed request or write-back (20
+# interposer cycles).
+RETRY_BACKOFF_TICKS = 80
 
 
 class ProtocolAssertionError(Exception):
@@ -216,11 +219,10 @@ class Directory:
     """
 
     def __init__(self, mc: int, topo: Topology, dram: Dram, send, dram_latency: int):
-        self.mc = mc
         self.node = topo.mc_node(mc)
         self.topo = topo
         self.dram = dram
-        self.send = send  # send(msg, tick, target_chiplet=None)
+        self.send = send  # send(msg, target_chiplet=None)
         self.dram_latency = dram_latency
         self.busy: dict[int, int] = {}
         self.entries: dict[int, DirEntry] = {}
@@ -337,14 +339,13 @@ class Directory:
 
 class _Txn:
     __slots__ = (
-        "kind", "address", "op_kind", "value", "expected", "resps",
-        "shared", "owner_data", "owner_id", "mem_data", "summary", "had_line",
+        "kind", "address", "value", "expected", "resps",
+        "shared", "owner_data", "owner_id", "mem_data", "summary",
     )
 
-    def __init__(self, kind: MsgType, address: int, op_kind: str, value: int, had_line: bool):
+    def __init__(self, kind: MsgType, address: int, value: int):
         self.kind = kind
         self.address = address
-        self.op_kind = op_kind
         self.value = value
         self.expected: int | None = None
         self.resps = 0
@@ -353,7 +354,6 @@ class _Txn:
         self.owner_id: int | None = None
         self.mem_data: bytes | None = None
         self.summary = False
-        self.had_line = had_line
 
 
 class Core:
@@ -366,7 +366,6 @@ class Core:
         cache: PrivateCache,
         send,
         commit,
-        retry_backoff_ticks: int = 80,
     ):
         self.id = core_id
         self.chiplet = topo.chiplet_of_core(core_id)
@@ -374,7 +373,6 @@ class Core:
         self.cache = cache
         self.send = send  # send(msg, tick)
         self.commit = commit  # commit(tick, core, kind, address, value)
-        self.retry_backoff = retry_backoff_ticks
         self.ops: list[tuple[int, str, int, int]] = []  # (gap, kind, addr, wvalue)
         self.op_idx = 0
         self.next_issue_tick = 0
@@ -453,7 +451,7 @@ class Core:
             self.cache.drop(victim_addr)
 
         req = MsgType.GETX if kind == "W" else MsgType.GETS
-        self.txn = _Txn(req, address, kind, value, had_line=line is not None)
+        self.txn = _Txn(req, address, value)
         self.stats_transactions += 1
         self._send_request(tick)
         return True
@@ -501,7 +499,7 @@ class Core:
             elif mtype is MsgType.WB_ACK:
                 self._finish_eviction(msg, tick)
             else:
-                self.evict_retry = tick + self.retry_backoff
+                self.evict_retry = tick + RETRY_BACKOFF_TICKS
             return
         txn = self.txn
         if txn is None or msg.address != txn.address:
@@ -510,7 +508,7 @@ class Core:
             self.stats_strays += 1
             return
         if mtype is MsgType.NACK and self.topo.is_mc(msg.requester_id):
-            self.retry_tick = tick + self.retry_backoff
+            self.retry_tick = tick + RETRY_BACKOFF_TICKS
             return
         if mtype in (MsgType.MEMORY_DATA, MsgType.MEMORY_ACK):
             txn.summary = True

@@ -47,6 +47,7 @@ from types import MappingProxyType
 from .apu import ApuTable, Permission
 from .attacks import AttackScenario
 from .coherence import (
+    RETRY_BACKOFF_TICKS,
     ChipletAgent,
     Core,
     Directory,
@@ -89,7 +90,6 @@ class RunConfig:
     vc_depth: int = 4
     sni_enabled: bool = True
     sni2_rewrite: bool = True
-    check_mc_traffic: bool = True
     permissions: ApuTable | None = None  # None means READ_WRITE everywhere
     workload: WorkloadSpec = field(default_factory=WorkloadSpec)
     attacks: tuple[AttackScenario, ...] = ()
@@ -99,10 +99,8 @@ class RunConfig:
     max_ticks: int = 4_000_000
     watchdog_icycles: int = 50_000
     dram_latency: int = 100
-    retry_backoff_icycles: int = 20
     cache_lines: int = 256
     collect_delivery_log: bool = False
-    enable_trace: bool = False
     label: str = "run"
 
     def validate(self) -> list[str]:
@@ -167,7 +165,8 @@ class RunConfig:
             "vc_depth": self.vc_depth,
             "sni_enabled": self.sni_enabled,
             "sni2_rewrite": self.sni2_rewrite,
-            "check_mc_traffic": self.check_mc_traffic,
+            # Constants, echoed until the schema drops them (docs/file_formats.md).
+            "check_mc_traffic": True,
             "permissions": table.serialize().hex() if table else None,
             "workload": {
                 "kind": self.workload.kind,
@@ -184,7 +183,7 @@ class RunConfig:
             "attacks": [s.name for s in self.attacks],
             "seed": self.seed,
             "dram_latency": self.dram_latency,
-            "retry_backoff_icycles": self.retry_backoff_icycles,
+            "retry_backoff_icycles": RETRY_BACKOFF_TICKS // CLOCK_RATIO,
             "cache_lines": self.cache_lines,
         }
 
@@ -266,7 +265,6 @@ class Simulator:
             sni_factory=partial(self._sni_factory, base_table),
             deliver_chiplet=self._deliver_chiplet,
             deliver_mc=self._deliver_mc,
-            enable_trace=cfg.enable_trace,
         )
         # Each SNI holds its interface router's permission table replica.
         self._snis = [*self.fabric.chiplet_snis.values(), *self.fabric.mc_snis.values()]
@@ -281,12 +279,10 @@ class Simulator:
         self._dir_order = [self.directories[m] for m in sorted(self.directories)]
         self._n_cores = topo.n_cores
         self.cores: dict[int, Core] = {}
-        retry_ticks = cfg.retry_backoff_icycles * CLOCK_RATIO
         for c in range(topo.n_cores):
             cache = PrivateCache(cfg.cache_lines, self.swmr.update)
             self.cores[c] = Core(
-                c, topo, cache, self.fabric.inject_from_core, self.oracle.commit,
-                retry_ticks,
+                c, topo, cache, self.fabric.inject_from_core, self.oracle.commit
             )
         self.agents = {
             k: ChipletAgent(
@@ -321,9 +317,8 @@ class Simulator:
         self, table: ApuTable, kind: SniKind, index: int, forward, drop
     ) -> SniUnit:
         cfg = self.cfg
-        sni_cfg = SniConfig.for_link(kind, index, self.topo, cfg.check_mc_traffic)
         return SniUnit(
-            sni_cfg,
+            SniConfig.for_link(kind, index, self.topo),
             cfg.interposer_width,
             table=table,
             forward=forward,

@@ -464,7 +464,6 @@ class Fabric:
         sni_factory,
         deliver_chiplet,
         deliver_mc,
-        enable_trace: bool = False,
     ):
         """sni_factory(kind, index, forward, drop) -> SniUnit, where kind
         is a SniKind and index the chiplet or memory controller."""
@@ -476,9 +475,8 @@ class Fabric:
         self.flits_injected = 0
         self.delivered = self.flits_delivered = self.dropped = 0
         self.latency = LatencyStats()
-        self.trace_events: list[tuple[int, int, str]] | None = (
-            [] if enable_trace else None
-        )
+        # (tick, pid, link label) per flit hop, once enable_trace is called
+        self.trace_events: list[tuple[int, int, str]] | None = None
         self._tick = 0
         self._next_pid = 0
         self._vc_rr: dict[tuple[int, int], int] = {}
@@ -496,8 +494,6 @@ class Fabric:
                 except TopologyError:
                     continue
             router.finish_wiring()
-            if enable_trace:
-                router.trace = self._trace
 
         self.hubs: dict[int, ChipletHub] = {}
         self.boundaries: dict[int, ChipletBoundary] = {}
@@ -655,6 +651,13 @@ class Fabric:
             return ok
 
         return forward
+
+    def enable_trace(self) -> None:
+        """Record every flit hop from now on in ``trace_events``: the
+        links between routers and each SNI's hand-off to its router."""
+        self.trace_events = []
+        for router in self.routers.values():
+            router.trace = self._trace
 
     def _trace(self, tick: int, packet: Packet, flit: Flit, label: str) -> None:
         self.trace_events.append((tick, packet.pid, label))

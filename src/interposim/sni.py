@@ -78,15 +78,17 @@ _ALLOW = SniVerdict(VerdictKind.ALLOW)
 
 @dataclass(frozen=True)
 class SniConfig:
-    """One SNI's link.  ``node_kinds`` holds the node ids of each kind
-    (cores, memory controllers, the broadcast id) as int ranges, indexed
-    like the sender and destination kinds of the compiled rules."""
+    """One SNI's link: its kind, the router it feeds and the node ids it
+    may carry as requesters.  Both kinds check every packet in full,
+    memory-controller traffic included.  ``node_kinds`` holds the node
+    ids of each kind (cores, memory controllers, the broadcast id) as int
+    ranges, indexed like the sender and destination kinds of the
+    compiled rules."""
 
     kind: SniKind
     attached_router: int
     expected_requesters: range
     topo: Topology
-    check_mc_traffic: bool = True
     node_kinds: tuple[range, range, range] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -98,9 +100,7 @@ class SniConfig:
         ))
 
     @classmethod
-    def for_link(
-        cls, kind: SniKind, index: int, topo: Topology, check_mc_traffic: bool = True
-    ) -> "SniConfig":
+    def for_link(cls, kind: SniKind, index: int, topo: Topology) -> "SniConfig":
         """The SNI on chiplet ``index``'s link (SNI-1), which expects that
         chiplet's cores, or on memory controller ``index``'s link (SNI-2),
         which expects the controller's node id."""
@@ -111,7 +111,7 @@ class SniConfig:
             router = topo.mc_router(index)
             node = topo.mc_node(index)
             requesters = range(node, node + 1)
-        return cls(kind, router, requesters, topo, check_mc_traffic)
+        return cls(kind, router, requesters, topo)
 
     @property
     def latency(self) -> int:
@@ -364,8 +364,10 @@ class SniUnit:
     arrives (at most one per interposer cycle, in link order); the unit
     keeps a reference to the packet and counts its flits, never a copy.
     Once ``header_flits`` have arrived the header is extracted once and
-    judged.  The packet's head is released exactly ``latency`` cycles
-    later, then flits stream out one per cycle into the attached router.
+    judged: ``pcm_check`` on every packet, then, on SNI-2 with rewriting
+    on, ``sni2_filter`` on a probe copy bound for one chiplet.  The
+    packet's head is released exactly ``latency`` cycles later, then
+    flits stream out one per cycle into the attached router.
     The unit holds at most ``INPUT_CAPACITY`` flits.  When disabled it
     is a zero-delay wire.
     """
@@ -389,10 +391,9 @@ class SniUnit:
         # returns that message's new packet, encoded at this unit's width
         self.drop_packet = drop_packet
         self.enabled = enabled
-        self.rewrite_enabled = rewrite_enabled
         self.header_flits = control_flit_count(width)
         self.latency = cfg.latency if enabled else 0
-        self.filters_probes = cfg.kind is SniKind.SNI2
+        self.filters_probes = rewrite_enabled and cfg.kind is SniKind.SNI2
         self.kind_name = cfg.kind.value
         self.inflight: deque[_Progress] = deque()
         self.held = 0
@@ -422,14 +423,10 @@ class SniUnit:
         packet = entry.packet
         fields = entry.header = extract_stage(packet.flits, self.width, self.header_flits)
         table = self.table
-        if self.filters_probes and packet.target_chiplet is not None:
-            verdict = _ALLOW
-            if self.cfg.check_mc_traffic:
-                verdict = pcm_check(fields, self.cfg, table)
-            if verdict.outcome is VerdictKind.ALLOW and self.rewrite_enabled:
-                verdict = sni2_filter(fields, packet.target_chiplet, self.cfg, table)
-        else:
-            verdict = pcm_check(fields, self.cfg, table)
+        verdict = pcm_check(fields, self.cfg, table)
+        if (verdict.outcome is VerdictKind.ALLOW and self.filters_probes
+                and packet.target_chiplet is not None):
+            verdict = sni2_filter(fields, packet.target_chiplet, self.cfg, table)
         if verdict.outcome is VerdictKind.ALLOW:
             self.stats.allowed += 1
         return verdict

@@ -33,13 +33,13 @@ def test_criterion_1_threat_coverage(capsys):
         presets.baseline(128, seed=0),
         permissions=table,
         workload=WorkloadSpec(kind="idle"),
-        enable_trace=True,
     )
     suite = standard_suite(base.topology(), table)
     correct = leaked = 0
     for scenario in suite:
         sim = Simulator(replace(base, attacks=(scenario,),
                                 label=f"attack-{scenario.name}"))
+        sim.fabric.enable_trace()
         packets = record_packets(sim)
         report = sim.run()
         detected = report.violations[0]["threat"] if report.violations else None

@@ -127,6 +127,23 @@ class TestAttackSuite:
                        "diverting", "malformed"):
             assert threat in out
 
+    def test_default_table_replaces_the_presets(self, capsys):
+        """Without --permissions the suite runs on the attack-demo table,
+        although desk-scale carries a table of its own."""
+        code = main(["attack-suite", "--preset", "desk-scale", "--ops", "30"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "all detected" in out
+
+    def test_explicit_all_rw_is_a_usage_error(self, capsys):
+        """A table that denies nothing leaves no attack to launch."""
+        code = main([
+            "attack-suite", "--preset", "desk-scale",
+            "--permissions", "all-rw", "--ops", "30",
+        ])
+        assert code == EXIT_CONFIG
+        assert "both grant and deny" in capsys.readouterr().err
+
 
 class TestValidate:
     def test_valid_config(self, capsys):

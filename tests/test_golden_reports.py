@@ -8,9 +8,15 @@ re-record the file:
 
     PYTHONPATH=src python tests/test_golden_reports.py > tests/data/golden_reports.txt
 
+and, if the hop trace changes on purpose, ``ATTACK_HALT_TRACE`` from the
+``attack-halt:trace`` line of ``python tests/test_golden_reports.py --traced``.
+
 The digests are checked in this process and in fresh interpreters under
 two ``PYTHONHASHSEED`` values, so no report may depend on set or dict
-ordering of hashed keys.
+ordering of hashed keys.  Each config is also run with the hop trace
+switched on, which must change no report byte; ``ATTACK_HALT_TRACE`` pins
+the trace of the ``attack-halt`` run, one ``tick pid label`` line per
+event.
 """
 
 from __future__ import annotations
@@ -126,6 +132,12 @@ def _quiet_updates():
     )
 
 
+def _delivery_log():
+    """Every delivery, per destination, in the report's delivery log."""
+    return replace(presets.desk_scale(seed=0), collect_delivery_log=True,
+                   label="delivery-log")
+
+
 CONFIGS = {
     "desk-scale-w64": lambda: presets.desk_scale(seed=0),
     "desk-scale-w128": _desk_w128,
@@ -139,19 +151,37 @@ CONFIGS = {
     "rewrite-off": _rewrite_off,
     "hotspot-short": _hotspot_short,
     "quiet-updates": _quiet_updates,
+    "delivery-log": _delivery_log,
 }
 
-
-def digests() -> dict[str, str]:
-    return {
-        name: hashlib.sha256(Simulator(build()).run().to_json().encode()).hexdigest()
-        for name, build in CONFIGS.items()
-    }
+ATTACK_HALT_TRACE = "968df98bd6ea6bb692cef523dd0848dba617c5577c09cdc2b5e98c66ab44a159"
+TRACE_KEY = "attack-halt:trace"
 
 
-def _pinned() -> dict[str, str]:
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def digests(traced: bool = False) -> dict[str, str]:
+    """Each config's report digest.  Traced, every run has the hop trace
+    switched on, and ``TRACE_KEY`` holds the digest of attack-halt's trace."""
+    out = {}
+    for name, build in CONFIGS.items():
+        sim = Simulator(build())
+        if traced:
+            sim.fabric.enable_trace()
+        out[name] = _sha256(sim.run().to_json())
+        if traced and name == "attack-halt":
+            out[TRACE_KEY] = _sha256("".join(
+                f"{tick} {pid} {label}\n" for tick, pid, label in sim.fabric.trace_events
+            ))
+    return out
+
+
+def _pinned(traced: bool = False) -> dict[str, str]:
     pairs = (line.split() for line in GOLDEN.read_text(encoding="utf-8").splitlines())
-    return {name: digest for name, digest in pairs}
+    pinned = {name: digest for name, digest in pairs}
+    return {**pinned, TRACE_KEY: ATTACK_HALT_TRACE} if traced else pinned
 
 
 def test_pins_cover_every_config():
@@ -162,18 +192,22 @@ def test_digests_in_process():
     assert digests() == _pinned()
 
 
+def test_hop_trace_changes_no_report_byte():
+    assert digests(traced=True) == _pinned(traced=True)
+
+
 def test_digests_across_hash_seeds():
-    pinned = _pinned()
-    for hash_seed in ("0", "12345"):
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(SRC))
-        out = subprocess.run(
-            [sys.executable, __file__], env=env, check=True,
-            stdout=subprocess.PIPE, text=True,
-        ).stdout
-        seen = dict(line.split() for line in out.splitlines())
-        assert seen == pinned, f"PYTHONHASHSEED={hash_seed}"
+    for traced in (False, True):
+        for hash_seed in ("0", "12345"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(SRC))
+            out = subprocess.run(
+                [sys.executable, __file__, *(["--traced"] if traced else [])],
+                env=env, check=True, stdout=subprocess.PIPE, text=True,
+            ).stdout
+            seen = dict(line.split() for line in out.splitlines())
+            assert seen == _pinned(traced), f"PYTHONHASHSEED={hash_seed} traced={traced}"
 
 
 if __name__ == "__main__":
-    for name, digest in digests().items():
+    for name, digest in digests(traced="--traced" in sys.argv).items():
         print(name, digest)

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from interposim import presets
 from interposim.apu import Permission
-from interposim.coherence import CacheState, _Txn, value_to_block
+from interposim.coherence import RETRY_BACKOFF_TICKS, CacheState, _Txn, value_to_block
 from interposim.harness import (
     EXIT_DEADLOCK,
     EXIT_OK,
@@ -263,7 +263,7 @@ class TestScheduler:
         # A request that was never sent: no response will ever come, and
         # the waiting core must keep the system from being quiet until
         # the watchdog fires.
-        sim.cores[0].txn = _Txn(MsgType.GETS, 0x80, "R", 0, had_line=False)
+        sim.cores[0].txn = _Txn(MsgType.GETS, 0x80, 0)
         report = sim.run()
         assert report.halt_cause == "deadlock"
         assert report.exit_code == EXIT_DEADLOCK
@@ -309,7 +309,7 @@ class TestScheduler:
         report = sim.run()
         puts = [tick for kind, tick in sent if kind is MsgType.PUT]
         assert puts == [3, 153, 301] and nacks == [73, 221]
-        assert puts[1:] == [t + core.retry_backoff for t in nacks]
+        assert puts[1:] == [t + RETRY_BACKOFF_TICKS for t in nacks]
         assert report.halt_cause == "completed"
         assert report.counters["commits"] == 1
         assert report.halt_tick == 584
@@ -329,8 +329,8 @@ class TestScheduler:
 
         core.handle = invalidating_handle
         report = sim.run()
-        # WB_NACK at tick 73, so evict_retry is 73 + retry_backoff.
-        evict_retry = 73 + core.retry_backoff
+        # WB_NACK at tick 73, so evict_retry is 73 + RETRY_BACKOFF_TICKS.
+        evict_retry = 73 + RETRY_BACKOFF_TICKS
         assert sent[:2] == [(MsgType.PUT, 3), (MsgType.GETX, evict_retry + 1)]
         assert report.halt_cause == "completed"
         assert report.counters["commits"] == 1

@@ -113,8 +113,9 @@ class FabricHarness:
             sni_factory=self._sni_factory,
             deliver_chiplet=self._deliver_chiplet,
             deliver_mc=self._deliver_mc,
-            enable_trace=enable_trace,
         )
+        if enable_trace:
+            self.fabric.enable_trace()
         self.sunk = {}
         for router in self.fabric.routers.values():
             if router.local_sink is not None:

@@ -32,7 +32,7 @@ from test_golden_reports import CONFIGS
 def _lose_a_response(sim: Simulator) -> Simulator:
     """Core 0 waits for a response to a request that was never sent, so
     the system never turns quiet and the loop makes no quiet jump."""
-    sim.cores[0].txn = _Txn(MsgType.GETS, 0x80, "R", 0, had_line=False)
+    sim.cores[0].txn = _Txn(MsgType.GETS, 0x80, 0)
     return sim
 
 

@@ -51,16 +51,16 @@ def sni2_cfg(topo: Topology, mc: int = 0) -> SniConfig:
 
 
 def test_for_link_derives_router_and_requesters(topo8):
-    sni1 = SniConfig.for_link(SniKind.SNI1, 5, topo8, check_mc_traffic=False)
+    sni1 = SniConfig.for_link(SniKind.SNI1, 5, topo8)
     assert (sni1.attached_router, sni1.expected_requesters) == (
         topo8.chiplet_router(5), range(40, 48)
     )
-    assert sni1.latency == SNI1_LATENCY and not sni1.check_mc_traffic
+    assert sni1.latency == SNI1_LATENCY
     sni2 = SniConfig.for_link(SniKind.SNI2, 2, topo8)
     assert (sni2.attached_router, sni2.expected_requesters) == (
         topo8.mc_router(2), range(66, 67)
     )
-    assert sni2.latency == SNI2_LATENCY and sni2.check_mc_traffic
+    assert sni2.latency == SNI2_LATENCY
 
 
 REGION1 = 1 << 26
