@@ -184,4 +184,9 @@ def load_scenarios(path: str, topo: Topology) -> list[AttackScenario]:
             raise AttackError(f"attack file entry {i}: {exc}") from None
         if not topo.is_core(scenarios[-1].src_core):
             raise AttackError(f"attack file entry {i}: no core {scenarios[-1].src_core}")
+        # A message the wire format cannot carry would fail to encode at
+        # its trigger tick.
+        errors = msg.field_errors()
+        if errors:
+            raise AttackError(f"attack file entry {i}: {'; '.join(errors)}")
     return scenarios

@@ -196,6 +196,8 @@ class CoherenceMessage:
                 )
             if self.msg_type not in DATA_CARRYING_TYPES:
                 errors.append("control message carries a data_block")
+        elif self.msg_type in DATA_CARRYING_TYPES:
+            errors.append(f"{self.type_name} requires a 64-byte data_block")
         return errors
 
     @property

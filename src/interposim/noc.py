@@ -40,6 +40,7 @@ _OPP_IDX = (1, 0, 3, 2, 4)  # paired input port seen by the neighbor
 # Flit positions, compared by identity in the per-flit paths instead of
 # going through the Flit.is_head / is_tail properties.
 _HEAD = FlitPosition.HEAD
+_BODY = FlitPosition.BODY
 _TAIL = FlitPosition.TAIL
 _HEAD_TAIL = FlitPosition.HEAD_TAIL
 
@@ -153,13 +154,27 @@ class Router:
     each key owns one deque of (flit, packet).
 
     A cycle costs work in proportion to the flits that can move.
-    ``occupied`` counts the buffered flits, and ``ready[out]`` is the
-    sorted list of keys whose front flit is a head routed to ``out``: a
-    key enters it when a head reaches the front of its VC (on arrival
-    into an empty VC, or when the packet ahead leaves) and leaves it when
-    the head is sent.  A free output grants the first ready key after its
-    last grant, wrapping round; a locked one sends the next flit of its
-    worm.  A flit moves at most once per cycle and never in the cycle it
+    ``ready[out]`` is the sorted list of keys whose front flit is a head
+    routed to ``out``: a key enters it when a head reaches the front of
+    its VC (on arrival into an empty VC, or when the packet ahead leaves)
+    and leaves it when the head is sent.  ``busy`` is the sorted list of
+    the outputs that hold work, a locked worm or a ready head: an output
+    enters it when its ready list gains a first key while it is unlocked,
+    and leaves it when its lock is released or its last ready head is
+    sent, whichever leaves it with neither.  ``step`` visits only the
+    outputs in ``busy``, and a router whose ``busy`` is empty has nothing
+    to do.  A free output grants the first ready key after its last
+    grant, wrapping round; a locked one sends the next flit of its worm.
+
+    A mesh hop costs no call beyond the sender's ``step``: it appends the
+    (flit, packet) entry to the neighbour's paired input VC, the one with
+    the same VC offset ``vnet * vc_per_vnet + vc`` (precomputed per
+    output and key in ``downstream``), and updates the neighbour's ready
+    and busy lists when a head enters an empty VC.  The hop is refused
+    while that VC holds ``vc_depth`` flits.  ``accept`` is the SNI's way
+    into the local port.
+
+    A flit moves at most once per cycle and never in the cycle it
     arrived (``stamp`` holds that tick).  A head that reaches the front
     behind a departing tail has its stamp raised to the current tick, so
     it too waits for the next cycle, whichever output it is routed to.
@@ -173,22 +188,42 @@ class Router:
         self.buffers: dict[int, deque] = {
             key: deque() for key in range(5 * 4 * vc_per_vnet)
         }
-        self.occupied = 0  # buffered flits
         self.ready: list[list[int]] = [[] for _ in range(5)]
+        self.busy: list[int] = []  # outputs with a lock or a ready head, sorted
         self.locks: list = [None] * 5
         self.last_grant = [-1] * 5
         self.neighbors: list = [None] * 5  # Router per out-port index
+        # per out-port index, per input key: (key, deque) of the
+        # neighbour's VC that the hop fills
+        self.downstream: list = [None] * 5
         self.route_table: dict[int, int] = {}  # dest router id -> out-port idx
         self.local_sink = None  # sink(flit, packet, tick); never refuses
         self.trace = None  # trace(tick, packet, flit, link_label) or None
 
     def finish_wiring(self) -> None:
-        """Precompute the XY routing decision for every destination."""
+        """Precompute the XY routing decision for every destination, and
+        where each output's hop puts a flit."""
         for dest in self.topo.all_routers():
             if dest == self.id:
                 self.route_table[dest] = _LOCAL_IDX
             else:
                 self.route_table[dest] = _PORT_IDX[self.topo.route(self.id, dest)]
+        # The paired input VC has the same offset, key modulo span; the
+        # keys of the 5 input ports repeat the offsets 5 times over.
+        span = 4 * self.vc_per_vnet
+        for out, nxt in enumerate(self.neighbors):
+            if nxt is not None:
+                base = _OPP_IDX[out] * span
+                paired = [(base + off, nxt.buffers[base + off]) for off in range(span)]
+                self.downstream[out] = paired * 5
+
+    def _head_ready(self, key: int, packet) -> None:
+        """A head reached the front of VC ``key``: make it ready."""
+        out = self.route_table[packet.dest_router]
+        ready = self.ready[out]
+        if not ready and self.locks[out] is None:
+            insort(self.busy, out)
+        insort(ready, key)
 
     def accept(self, port_idx: int, vnet: int, vc: int, flit: Flit, packet, tick: int) -> bool:
         key = (port_idx * 4 + vnet) * self.vc_per_vnet + vc
@@ -198,24 +233,25 @@ class Router:
         if not q:
             pos = flit.position
             if pos is _HEAD or pos is _HEAD_TAIL:
-                insort(self.ready[self.route_table[packet.dest_router]], key)
+                self._head_ready(key, packet)
         q.append((flit, packet))
         flit.stamp = tick
-        self.occupied += 1
         return True
 
     def step(self, tick: int) -> bool:
-        sent = 0
+        sent = False
         buffers = self.buffers
+        all_ready = self.ready
+        busy = self.busy
         locks = self.locks
         last_grant = self.last_grant
         trace = self.trace
-        # zip reads locks[out] when it reaches out, after earlier outputs
-        # of this cycle have updated theirs.
-        for out, key, ready in zip(range(5), locks, self.ready):
+        # A copy: outputs that gain work in this cycle hold only heads that
+        # cannot leave before the next one.
+        for out in busy[:]:
+            key = locks[out]
+            ready = all_ready[out]
             if key is None:
-                if not ready:
-                    continue
                 # Round-robin: the first movable key strictly after the
                 # last grant, wrapping to the smallest.  Indices i - n to
                 # -1 name ready[i:], and 0 to i - 1 name ready[:i].
@@ -223,40 +259,59 @@ class Router:
                 for j in range(i - len(ready), i):
                     key = ready[j]
                     q = buffers[key]
-                    if q[0][0].stamp < tick:
+                    entry = q[0]
+                    if entry[0].stamp < tick:
                         break
                 else:
                     continue
             else:
                 q = buffers[key]
                 # An empty VC: the rest of the worm is still upstream.
-                if not q or q[0][0].stamp >= tick:
+                if not q:
                     continue
-            flit, packet = q[0]
-            if out != _LOCAL_IDX and not self.neighbors[out].accept(
-                _OPP_IDX[out], packet.vnet, packet.vc, flit, packet, tick
-            ):
-                continue
-            q.popleft()
-            sent += 1
+                entry = q[0]
+                if entry[0].stamp >= tick:
+                    continue
+            flit, packet = entry
             pos = flit.position
+            if out != _LOCAL_IDX:
+                # The hop: straight into the neighbour's paired input VC.
+                nkey, nq = self.downstream[out][key]
+                if len(nq) >= self.vc_depth:
+                    continue
+                if not nq and (pos is _HEAD or pos is _HEAD_TAIL):
+                    # As _head_ready, inline on the neighbour.
+                    nxt = self.neighbors[out]
+                    nout = nxt.route_table[packet.dest_router]
+                    nready = nxt.ready[nout]
+                    if not nready and nxt.locks[nout] is None:
+                        insort(nxt.busy, nout)
+                    insort(nready, nkey)
+                nq.append(entry)
+                flit.stamp = tick
+            q.popleft()
+            sent = True
             if pos is _HEAD:
                 packet.hops += 1
                 ready.remove(key)
                 locks[out] = key
                 last_grant[out] = key
-            elif pos is _HEAD_TAIL:
-                packet.hops += 1
-                ready.remove(key)
-                last_grant[out] = key
-            elif pos is _TAIL:
-                locks[out] = None
-            if q and (pos is _TAIL or pos is _HEAD_TAIL):
-                # The next packet's head reaches the front: it may leave no
-                # earlier than the next cycle.
-                head, ahead = q[0]
-                head.stamp = tick
-                insort(self.ready[self.route_table[ahead.dest_router]], key)
+            elif pos is not _BODY:
+                # A tail or a one-flit packet: the output is free again.
+                if pos is _HEAD_TAIL:
+                    packet.hops += 1
+                    ready.remove(key)
+                    last_grant[out] = key
+                else:
+                    locks[out] = None
+                if not ready:
+                    busy.remove(out)
+                if q:
+                    # The next packet's head reaches the front: it may
+                    # leave no earlier than the next cycle.
+                    head, ahead = q[0]
+                    head.stamp = tick
+                    self._head_ready(key, ahead)
             if out == _LOCAL_IDX:
                 # After the hop count: the sink may deliver the packet.
                 self.local_sink(flit, packet, tick)
@@ -266,8 +321,7 @@ class Router:
                     else f"{self.id}->{self.neighbors[out].id}"
                 )
                 trace(tick, packet, flit, label)
-        self.occupied -= sent
-        return sent > 0
+        return sent
 
 
 class ChipletBoundary:
@@ -682,7 +736,7 @@ class Fabric:
             if inflight and inflight[0].release_cycle <= icycle:
                 violations.extend(sni.step(icycle))
         for router in self._routers_order:
-            if router.occupied:
+            if router.busy:
                 moved |= router.step(tick)
         return violations, moved
 

@@ -5,6 +5,8 @@ import json
 
 import pytest
 
+from interposim import presets
+from interposim.attacks import extra_templates, load_scenarios
 from interposim.cli import main
 from interposim.coherence import ProtocolAssertionError
 from interposim.harness import EXIT_CONFIG, EXIT_PROTOCOL, REPORT_SCHEMA, Simulator
@@ -208,6 +210,48 @@ class TestValidate:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["run", "validate-config"])
+    @pytest.mark.parametrize("fields", [
+        {"msg_type": 1, "requester": 300, "vnet": 0},
+        {"msg_type": 19, "requester": 0, "vnet": 2, "data": "abcd"},
+        {"msg_type": 19, "requester": 0, "vnet": 2},
+    ], ids=["requester-300", "2-byte-data", "data-missing"])
+    def test_attack_entry_beyond_wire_format(self, tmp_path, capsys, command,
+                                             fields):
+        """A message the wire format cannot carry is refused when the file
+        is read, not at its trigger tick."""
+        path = tmp_path / "attacks.json"
+        path.write_text(json.dumps([{"name": "fine", "expected_threat": "masquerading",
+                                     "src_core": 0, "msg_type": 1, "requester": 8,
+                                     "destination": 64, "vnet": 0, "address": "0x40"},
+                                    {"expected_threat": "diverting", "src_core": 0,
+                                     "destination": 2, "address": "0x40", **fields}]),
+                        encoding="utf-8")
+        args = [command, "--preset", "desk-scale", "--ops", "2", "--attacks", str(path)]
+        assert main(args) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "configuration ok" not in captured.out
+        assert captured.err.startswith("error: attack file entry 1: ")
+        assert "Traceback" not in captured.err
+
+    def test_attack_address_beyond_table_loads(self, tmp_path, topo8):
+        """The address-overflow template fits in 64 bits: it loads, and the
+        SNIs judge it."""
+        table = presets.attack_demo_table()
+        template = next(s for s in extra_templates(topo8, table)
+                        if s.name == "address-overflow")
+        msg = template.msg
+        path = tmp_path / "attacks.json"
+        path.write_text(json.dumps([{
+            "name": template.name, "expected_threat": template.expected_threat.value,
+            "src_core": template.src_core, "msg_type": int(msg.msg_type),
+            "requester": msg.requester_id, "destination": msg.destination_id,
+            "vnet": msg.vnet, "address": hex(msg.address),
+        }]), encoding="utf-8")
+        assert load_scenarios(str(path), topo8)[0].msg == msg
+        assert main(["validate-config", "--preset", "baseline-128",
+                     "--attacks", str(path)]) == 0
 
     def test_missing_permission_file(self, capsys):
         code = main([

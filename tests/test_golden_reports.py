@@ -132,6 +132,18 @@ def _quiet_updates():
     )
 
 
+def _shared_writes():
+    """Write-heavy sharing through 2-deep VCs: multi-flit packets compete
+    for outputs, hops are refused, and heads reach the front of a VC
+    behind a departing tail."""
+    return replace(
+        presets.baseline(128, seed=9), vc_depth=2,
+        workload=WorkloadSpec(kind="sharing", ops_per_core=8, read_fraction=0.2,
+                              shared_lines=64, mean_gap_ticks=2),
+        label="shared-writes",
+    )
+
+
 def _delivery_log():
     """Every delivery, per destination, in the report's delivery log."""
     return replace(presets.desk_scale(seed=0), collect_delivery_log=True,
@@ -152,6 +164,7 @@ CONFIGS = {
     "hotspot-short": _hotspot_short,
     "quiet-updates": _quiet_updates,
     "delivery-log": _delivery_log,
+    "shared-writes": _shared_writes,
 }
 
 ATTACK_HALT_TRACE = "968df98bd6ea6bb692cef523dd0848dba617c5577c09cdc2b5e98c66ab44a159"

@@ -416,6 +416,23 @@ _INJECTIONS = st.lists(
 )
 
 
+def _drive(h, injections, check=None):
+    """Clock harness ``h`` through the drawn bursts until the mesh has
+    drained, calling ``check()`` after every tick."""
+    by_tick = {}
+    for tick, kind in injections:
+        by_tick.setdefault(tick, []).append(kind)
+    for tick in range(6000):
+        for kind in by_tick.get(tick, ()):
+            _inject(h.fabric, kind, tick)
+        h.run(tick + 1, start=tick)
+        if check is not None:
+            check()
+        if tick > 60 and not h.fabric.registry:
+            break
+    assert not h.fabric.registry, "packets still in flight"
+
+
 class TestRouterReference:
     """``noc.Router`` against ``ReferenceRouter``, the earlier router that
     sorts and rescans its VCs every cycle: the same flits must cross the
@@ -426,18 +443,13 @@ class TestRouterReference:
         with pytest.MonkeyPatch.context() as mp:
             if router_cls is not None:
                 mp.setattr(noc, "Router", router_cls)
+                # The fabric steps a router while ``busy`` is non-empty; a
+                # reference router has work while a VC holds a flit.
+                mp.setattr(router_cls, "busy", property(lambda r: r.occupied),
+                           raising=False)
             h = make_harness(topo, width, vc_per_vnet=vc_per_vnet,
                              vc_depth=vc_depth, enable_trace=True)
-        by_tick = {}
-        for tick, kind in injections:
-            by_tick.setdefault(tick, []).append(kind)
-        for tick in range(6000):
-            for kind in by_tick.get(tick, ()):
-                _inject(h.fabric, kind, tick)
-            h.run(tick + 1, start=tick)
-            if tick > 60 and not h.fabric.registry:
-                break
-        assert not h.fabric.registry, "packets still in flight"
+            _drive(h, injections)
         return h
 
     @settings(max_examples=100, deadline=None)
@@ -493,3 +505,39 @@ class TestRouterReference:
             *((t, ahead.pid, east) for t in ahead_ticks),
             (ahead_ticks[-1] + CLOCK_RATIO, behind.pid, north),
         ]
+
+
+class TestBusyOutputs:
+    """Each router's ``busy`` list, checked after every tick against what
+    it stands for: the sorted outputs that hold a lock or a ready head.
+    Each ``ready[out]`` is checked against the buffers too: the sorted
+    keys whose front flit is a head routed to ``out``."""
+
+    @staticmethod
+    def _check(routers):
+        for router in routers:
+            ready = [[] for _ in range(5)]
+            for key, q in sorted(router.buffers.items()):
+                if q:
+                    flit, packet = q[0]
+                    if flit.is_head:
+                        ready[router.route_table[packet.dest_router]].append(key)
+            assert router.ready == ready, f"router {router.id}"
+            assert router.busy == [
+                out for out in range(5)
+                if router.locks[out] is not None or router.ready[out]
+            ], f"router {router.id}"
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        width=st.sampled_from((64, 128)),
+        vc_per_vnet=st.sampled_from(VC_CHOICES),
+        vc_depth=st.sampled_from((1, 2, 4)),
+        injections=_INJECTIONS,
+    )
+    def test_busy_lists_the_outputs_with_work(self, width, vc_per_vnet, vc_depth,
+                                              injections):
+        topo = Topology(n_chiplets=8, cores_per_chiplet=8, n_mcs=4)
+        h = make_harness(topo, width, vc_per_vnet=vc_per_vnet, vc_depth=vc_depth)
+        routers = list(h.fabric.routers.values())
+        _drive(h, injections, lambda: self._check(routers))

@@ -12,15 +12,23 @@ header goes through ``extract_stage`` as the SNI sees it, and then:
 * an oracle written from ``docs/message_rules.md``, which shares no
   rule table with ``sni``, must agree on the outcome and threat class.
 
+End to end, one drawn message is injected through an ``AttackScenario``
+into an idle desk-scale system with a drawn table: the run must halt as
+``security``, with the oracle's threat class and no leaked delivery,
+exactly when the oracle calls the header illegal.
+
 Counterexamples found by the fuzzer are kept below as regular tests.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_sni
+from interposim import presets
 from interposim.apu import (
     CHIPLET_SLOTS,
     AddressOutOfRange,
@@ -28,7 +36,10 @@ from interposim.apu import (
     ApuTable,
     Permission,
 )
+from interposim.attacks import AttackScenario
+from interposim.harness import Simulator
 from interposim.messages import (
+    DATA_CARRYING_TYPES,
     CoherenceMessage,
     Flit,
     FlitPosition,
@@ -45,6 +56,7 @@ from interposim.sni import (
     sni2_filter,
 )
 from interposim.topology import Topology
+from interposim.workloads import WorkloadSpec
 
 ALLOW = VerdictKind.ALLOW
 REWRITE = VerdictKind.REWRITE
@@ -260,6 +272,65 @@ def test_sni2_filter_matches_reference_and_rules(case):
         assert (got.outcome, got.replacement, got.new_destination) == oracle_filter(
             header, target, cfg.topo, table
         )
+
+
+@st.composite
+def injections(draw):
+    """(config, scenario): one drawn message on a core's link of an idle
+    desk-scale system with a drawn table.  The destination is never a
+    core of the source's own chiplet, whose hub would loop the packet
+    back before it reaches an SNI."""
+    base = presets.desk_scale(seed=0)
+    topo = base.topology()
+    table = draw(tables())
+    src_core = draw(st.integers(0, topo.n_cores - 1))
+    own = topo.core_range(topo.chiplet_of_core(src_core))
+
+    def mostly(likely, anything):
+        return draw(anything if draw(st.integers(0, 3)) == 0 else likely)
+
+    msg_type = mostly(st.sampled_from(sorted(DOC_ROUTES)), st.integers(0, 31))
+    route = DOC_ROUTES.get(msg_type, (0, "core", "MC"))
+    destinations = {
+        "core": st.sampled_from([c for c in range(topo.n_cores) if c not in own]),
+        "MC": st.integers(MC_BASE, MC_BASE + topo.n_mcs - 1),
+        "broadcast": st.just(BROADCAST),
+    }
+    msg = CoherenceMessage(
+        msg_type,
+        mostly(st.sampled_from(own), st.integers(0, 255)),
+        mostly(destinations[route[2]],
+               st.integers(0, 255).filter(lambda node: node not in own)),
+        mostly(st.just(route[0]), st.integers(0, 3)),
+        mostly(st.integers(0, table.address_limit - 1), st.integers(0, 2**64 - 1)),
+        cur_owner=draw(st.integers(0, 255)),
+        dirty=draw(st.booleans()),
+        data_block=bytes(64) if msg_type in DATA_CARRYING_TYPES else None,
+    )
+    cfg = replace(base, permissions=table, workload=WorkloadSpec(kind="idle"))
+    # The scenario's expected threat plays no part in the run.
+    scenario = AttackScenario("drawn", ThreatClass.MALFORMED, src_core,
+                              draw(st.integers(0, 80)), msg)
+    return replace(cfg, attacks=(scenario,)), scenario
+
+
+@settings(max_examples=50, deadline=None)
+@given(injections())
+def test_injected_header_halts_exactly_when_illegal(injection):
+    cfg, scenario = injection
+    topo = cfg.topology()
+    outcome, threat = oracle_check(
+        scenario.msg, SniKind.SNI1, topo.chiplet_of_core(scenario.src_core), topo,
+        cfg.permissions,
+    )
+    sim = Simulator(cfg)
+    report = sim.run()
+    if outcome is VIOLATION:
+        assert report.halt_cause == "security"
+        assert report.violations[0]["threat"] == threat.value
+        assert sim.leaked_deliveries == 0
+    else:
+        assert report.violations == []
 
 
 def _header(msg_type, requester, destination, vnet, address, owner=0):
