@@ -9,9 +9,11 @@ Subcommands:
                    table unless --permissions is given)
   validate-config  check flags/files without simulating
 
-Exit codes: 0 success, 2 security halt, 3 deadlock/budget, 64 bad
-configuration or usage, 70 a broken protocol invariant (a simulator
-bug; ``error: ...`` is printed in place of a report).
+Exit codes: 0 success, 2 security halt, 3 deadlock/budget, 4 a run that
+completed with a failed coherence check (oracle divergence or SWMR
+violation), 64 bad configuration or usage, 70 a broken protocol
+invariant (a simulator bug; ``error: ...`` is printed in place of a
+report).
 """
 
 from __future__ import annotations
@@ -288,7 +290,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, WorkloadError, AttackError, ApuError, KeyError, OSError) as exc:
+    except (ConfigError, WorkloadError, AttackError, ApuError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ProtocolAssertionError as exc:

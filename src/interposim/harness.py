@@ -32,8 +32,10 @@ or attack trigger; such a jump stays inside one interposer cycle, so a
 lost response still ends in the watchdog's halt.
 
 Exit codes: 0 completed, 2 security halt (machine-check), 3 deadlock or
-exhausted cycle budget, 64 invalid configuration, 70 a broken protocol
-invariant (``ProtocolAssertionError``: a simulator bug).
+exhausted cycle budget, 4 completed but a coherence check failed (an
+oracle divergence or an SWMR violation in the report), 64 invalid
+configuration, 70 a broken protocol invariant (``ProtocolAssertionError``:
+a simulator bug).
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ from .workloads import WorkloadSpec
 EXIT_OK = 0
 EXIT_SECURITY = 2
 EXIT_DEADLOCK = 3
+EXIT_COHERENCE = 4  # completed, but the oracle or the SWMR census failed
 EXIT_CONFIG = 64
 EXIT_PROTOCOL = 70  # sysexits EX_SOFTWARE: an internal invariant broke
 
@@ -204,6 +207,10 @@ class SimReport:
 
     @property
     def exit_code(self) -> int:
+        if self.halt_cause == "completed" and (
+            self.coherence["oracle_divergences"] or self.coherence["swmr_violations"]
+        ):
+            return EXIT_COHERENCE
         return {
             "completed": EXIT_OK,
             "security": EXIT_SECURITY,

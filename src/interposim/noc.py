@@ -8,8 +8,9 @@ the SNIs read its header bits; on a chiplet link it moves as a count of
 128-bit beats, each beat standing for ``128 // width`` interposer flits.
 Every ingress link into the interposer passes through an SNI;
 router-to-router links inside the mesh do not.  An SNI is handed the
-packet whose next flit arrives, never a flit copy; the hub and the MC NI
-each send one packet at a time and count its beats or flits.
+packet whose next flit arrives, never a flit copy: the chiplet boundary
+and the MC NI each queue a packet once per flit still to enter, and the
+SNI hands each flit on to its router's ``accept``.
 
 Routers implement wormhole switching with dimension-order (XY) routing,
 four virtual networks and a configurable number of virtual channels per
@@ -171,8 +172,12 @@ class Router:
     the same VC offset ``vnet * vc_per_vnet + vc`` (precomputed per
     output and key in ``downstream``), and updates the neighbour's ready
     and busy lists when a head enters an empty VC.  The hop is refused
-    while that VC holds ``vc_depth`` flits.  ``accept`` is the SNI's way
-    into the local port.
+    while that VC holds ``vc_depth`` flits.
+
+    ``accept`` is the SNI's only way into the local port.  A packet takes
+    the next VC of its vnet, round robin per router (``entry_vc``), on its
+    first attempt and keeps it while it is refused, which happens, as for
+    a mesh hop, while that VC holds ``vc_depth`` flits.
 
     A flit moves at most once per cycle and never in the cycle it
     arrived (``stamp`` holds that tick).  A head that reaches the front
@@ -192,6 +197,7 @@ class Router:
         self.busy: list[int] = []  # outputs with a lock or a ready head, sorted
         self.locks: list = [None] * 5
         self.last_grant = [-1] * 5
+        self.entry_vc = [0] * 4  # per vnet: the VC the next packet takes
         self.neighbors: list = [None] * 5  # Router per out-port index
         # per out-port index, per input key: (key, deque) of the
         # neighbour's VC that the hop fills
@@ -225,17 +231,32 @@ class Router:
             insort(self.busy, out)
         insort(ready, key)
 
-    def accept(self, port_idx: int, vnet: int, vc: int, flit: Flit, packet, tick: int) -> bool:
-        key = (port_idx * 4 + vnet) * self.vc_per_vnet + vc
+    def accept(self, flit: Flit, packet, icycle: int) -> bool:
+        """Take ``flit`` from the SNI into the local port at interposer
+        cycle ``icycle``, or refuse it.  An accepted head counts a hop and
+        ends the packet's queuing, if nothing ended it before."""
+        vnet = packet.vnet
+        vc = packet.vc
+        if vc is None:
+            vc = packet.vc = self.entry_vc[vnet]
+            self.entry_vc[vnet] = (vc + 1) % self.vc_per_vnet
+        key = (_LOCAL_IDX * 4 + vnet) * self.vc_per_vnet + vc
         q = self.buffers[key]
         if len(q) >= self.vc_depth:
             return False
-        if not q:
-            pos = flit.position
-            if pos is _HEAD or pos is _HEAD_TAIL:
+        tick = icycle * CLOCK_RATIO
+        pos = flit.position
+        if pos is _HEAD or pos is _HEAD_TAIL:
+            if not q:
                 self._head_ready(key, packet)
+            packet.hops += 1
+            if packet.first_grant_tick < 0:
+                # The checker pipeline before this point counts as queuing.
+                packet.first_grant_tick = tick
         q.append((flit, packet))
         flit.stamp = tick
+        if self.trace is not None:
+            self.trace(tick, packet, flit, f"sni->{self.id}")
         return True
 
     def step(self, tick: int) -> bool:
@@ -473,26 +494,22 @@ class ChipletHub:
 
 class McNi:
     """Memory-controller network interface: native interposer width on
-    both directions, egress through the controller's SNI-2."""
+    both directions, egress through the controller's SNI-2, one flit per
+    interposer cycle.  ``queue`` holds each packet once per flit still to
+    enter the SNI, as ``ChipletBoundary.pending`` does."""
 
     def __init__(self, sni: SniUnit, deliver):
         self.sni = sni
         self.deliver = deliver  # deliver(packet, tick)
         self.queue: deque[Packet] = deque()
-        self.sent = 0  # flits of the front packet pushed so far
 
     def enqueue(self, packet: Packet) -> None:
-        self.queue.append(packet)
+        self.queue.extend((packet,) * packet.flit_total)
 
     def step_egress(self, icycle: int, tick: int) -> bool:
         if not self.queue or not self.sni.can_accept():
             return False
-        packet = self.queue[0]
-        self.sni.push(packet, icycle)
-        self.sent += 1
-        if self.sent == packet.flit_total:
-            self.sent = 0
-            self.queue.popleft()
+        self.sni.push(self.queue.popleft(), icycle)
         return True
 
     def sink(self, flit: Flit, packet: Packet, tick: int) -> None:
@@ -520,10 +537,10 @@ class Fabric:
         deliver_mc,
     ):
         """sni_factory(kind, index, forward, drop) -> SniUnit, where kind
-        is a SniKind and index the chiplet or memory controller."""
+        is a SniKind, index the chiplet or memory controller, and forward
+        the ``accept`` of the router that the SNI feeds."""
         self.topo = topo
         self.iw = interposer_width
-        self.vc_per_vnet = vc_per_vnet
         # The live packets: made and neither delivered nor dropped yet.
         self.registry: dict[int, Packet] = {}
         self.flits_injected = 0
@@ -531,9 +548,7 @@ class Fabric:
         self.latency = LatencyStats()
         # (tick, pid, link label) per flit hop, once enable_trace is called
         self.trace_events: list[tuple[int, int, str]] | None = None
-        self._tick = 0
         self._next_pid = 0
-        self._vc_rr: dict[tuple[int, int], int] = {}
 
         self.routers = {
             rid: Router(rid, topo, vc_per_vnet, vc_depth)
@@ -555,7 +570,7 @@ class Fabric:
         for k in range(topo.n_chiplets):
             rid = topo.chiplet_router(k)
             hub = ChipletHub(k, topo, partial(self._deliver, deliver_chiplet, k))
-            sni = sni_factory(SniKind.SNI1, k, self._make_forward(rid), self._drop)
+            sni = sni_factory(SniKind.SNI1, k, self.routers[rid].accept, self._drop)
             boundary = ChipletBoundary(k, interposer_width, sni)
             hub.boundary = boundary
             self.routers[rid].local_sink = ChipletIngress(k, interposer_width, hub).sink
@@ -567,7 +582,7 @@ class Fabric:
         self.mc_snis: dict[int, SniUnit] = {}
         for m in range(topo.n_mcs):
             rid = topo.mc_router(m)
-            sni = sni_factory(SniKind.SNI2, m, self._make_forward(rid), self._drop)
+            sni = sni_factory(SniKind.SNI2, m, self.routers[rid].accept, self._drop)
             ni = McNi(sni, partial(self._deliver, deliver_mc, m))
             self.routers[rid].local_sink = ni.sink
             self.mc_nis[m] = ni
@@ -675,36 +690,7 @@ class Fabric:
         new.first_grant_tick = tick
         return new
 
-    # -- wiring helpers ---------------------------------------------------
-
-    def _make_forward(self, router_id: int):
-        router = self.routers[router_id]
-
-        def forward(flit: Flit, packet: Packet) -> bool:
-            if packet.vc is None:
-                key = (router_id, packet.vnet)
-                rr = self._vc_rr.get(key, 0)
-                packet.vc = rr
-                self._vc_rr[key] = (rr + 1) % self.vc_per_vnet
-            ok = router.accept(
-                _LOCAL_IDX, packet.vnet, packet.vc, flit, packet, self._tick
-            )
-            if ok:
-                pos = flit.position
-                if pos is _HEAD or pos is _HEAD_TAIL:
-                    packet.hops += 1
-                    if packet.first_grant_tick < 0:
-                        # Queuing ends when the head is granted onto the
-                        # first mesh router; the checker pipeline before
-                        # this point counts as queuing.
-                        packet.first_grant_tick = self._tick
-                if self.trace_events is not None:
-                    self.trace_events.append(
-                        (self._tick, packet.pid, f"sni->{router_id}")
-                    )
-            return ok
-
-        return forward
+    # -- tracing ----------------------------------------------------------
 
     def enable_trace(self) -> None:
         """Record every flit hop from now on in ``trace_events``: the
@@ -720,7 +706,6 @@ class Fabric:
 
     def step_interposer(self, tick: int):
         """One interposer cycle; returns (violations, progressed)."""
-        self._tick = tick
         icycle = tick // CLOCK_RATIO
         moved = False
         violations = []

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .apu import ApuEntry, ApuTable, Permission
-from .harness import RunConfig
+from .harness import ConfigError, RunConfig
 from .workloads import WorkloadSpec
 
 RW = Permission.READ_WRITE
@@ -119,7 +119,7 @@ def get(name: str, seed: int = 0) -> RunConfig:
     try:
         cfg = SYSTEM_PRESETS[name](seed=seed)
     except KeyError:
-        raise KeyError(
+        raise ConfigError(
             f"unknown preset {name!r}; choose from {sorted(SYSTEM_PRESETS)}"
         ) from None
     return replace(cfg, seed=seed)

@@ -367,7 +367,9 @@ class SniUnit:
     judged: ``pcm_check`` on every packet, then, on SNI-2 with rewriting
     on, ``sni2_filter`` on a probe copy bound for one chiplet.  The
     packet's head is released exactly ``latency`` cycles later, then
-    flits stream out one per cycle into the attached router.
+    flits stream out one per cycle into the attached router:
+    ``forward(flit, packet, cycle)`` hands one over and returns False if
+    the router refuses it, which is tried again on the next cycle.
     The unit holds at most ``INPUT_CAPACITY`` flits.  When disabled it
     is a zero-delay wire.
     """
@@ -478,7 +480,7 @@ class SniUnit:
                 self._apply_rewrite(entry, cycle)
             packet = entry.packet
             sent = entry.forwarded
-            if sent < entry.arrived and self.forward(packet.flits[sent], packet):
+            if sent < entry.arrived and self.forward(packet.flits[sent], packet, cycle):
                 if sent == 0:
                     packet.sni_delay = cycle - entry.final_header_cycle
                     packet.sni_kind = self.kind_name

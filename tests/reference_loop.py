@@ -50,7 +50,6 @@ def run_reference(sim: Simulator) -> SimReport:
             sim._apply_permission_updates(icycle)
             for directory in directories:
                 progressed |= directory.step(icycle)
-            fabric._tick = tick  # the SNIs forward into routers at this tick
             for boundary in boundaries:
                 progressed |= boundary.step(icycle, tick)
             for ni in mc_nis:

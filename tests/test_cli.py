@@ -8,8 +8,10 @@ import pytest
 from interposim import presets
 from interposim.attacks import extra_templates, load_scenarios
 from interposim.cli import main
-from interposim.coherence import ProtocolAssertionError
-from interposim.harness import EXIT_CONFIG, EXIT_PROTOCOL, REPORT_SCHEMA, Simulator
+from interposim.coherence import Directory, ProtocolAssertionError
+from interposim.harness import (
+    EXIT_CONFIG, EXIT_PROTOCOL, REPORT_SCHEMA, ConfigError, Simulator,
+)
 
 
 class TestRun:
@@ -91,6 +93,20 @@ class TestRun:
         assert capsys.readouterr().err == (
             "error: core 0 transaction on 0x40 finished without data\n"
         )
+
+    def test_key_error_in_a_run_is_not_bad_configuration(self, monkeypatch):
+        """Only bad input exits 64: a KeyError raised inside the simulator
+        is a bug and propagates."""
+        def broken(self, msg, tick):
+            raise KeyError(msg.address)
+
+        monkeypatch.setattr(Directory, "_handle_request", broken)
+        with pytest.raises(KeyError):
+            main(["run", "--preset", "desk-scale", "--ops", "2"])
+
+    def test_unknown_preset_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="unknown preset 'nope'"):
+            presets.get("nope")
 
 
 class TestCompare:

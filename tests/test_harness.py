@@ -7,8 +7,10 @@ from hypothesis import given, strategies as st
 
 from interposim import presets
 from interposim.apu import Permission
+from interposim.attacks import AttackScenario
 from interposim.coherence import RETRY_BACKOFF_TICKS, CacheState, _Txn, value_to_block
 from interposim.harness import (
+    EXIT_COHERENCE,
     EXIT_DEADLOCK,
     EXIT_OK,
     EXIT_SECURITY,
@@ -17,7 +19,7 @@ from interposim.harness import (
     Simulator,
 )
 from interposim.noc import LatencyStats, Packet, nearest_rank
-from interposim.sni import SniUnit
+from interposim.sni import SniUnit, ThreatClass
 from interposim.messages import CoherenceMessage, MsgType
 from interposim.workloads import WorkloadSpec
 
@@ -162,6 +164,26 @@ class TestRunOutcomes:
         # in some buffer.
         assert report.ledger["packets_in_flight"] == 9
         assert report.ledger["balanced"]
+
+    def test_broken_coherence_is_not_exit_zero(self):
+        """A forged UNBLOCK that every SNI allows lets core 2 read a stale
+        value; the run completes, but its oracle check failed."""
+        forged = AttackScenario(
+            "forged-unblock", ThreatClass.MASQUERADING, 2, 879,
+            CoherenceMessage(MsgType.UNBLOCK, 2, 64, 3, 0x0),
+        )
+        cfg = replace(
+            presets.desk_scale(seed=0),
+            workload=WorkloadSpec(kind="sharing", ops_per_core=200,
+                                  read_fraction=0.5, shared_lines=4,
+                                  mean_gap_ticks=4),
+            attacks=(forged,),
+        )
+        report = Simulator(cfg).run()
+        assert report.halt_cause == "completed"
+        assert report.halt_tick == 26976
+        assert len(report.coherence["oracle_divergences"]) == 2
+        assert report.exit_code == EXIT_COHERENCE == 4
 
     def test_report_json_is_stable(self):
         cfg = presets.desk_scale(seed=3)

@@ -365,6 +365,57 @@ class TestFabricTransport:
         assert CLOCK_RATIO == 4
 
 
+class TestEntryVc:
+    """The VC a packet takes when its SNI hands it to the local port: the
+    next VC of its vnet, round robin per router, chosen on the first
+    attempt and kept while the router refuses it."""
+
+    @pytest.mark.parametrize("vc_per_vnet", VC_CHOICES)
+    def test_round_robin_per_vnet(self, topo8, vc_per_vnet):
+        h = make_harness(topo8, 128, vc_per_vnet=vc_per_vnet)
+        acks, wb_acks = [], []
+        for i in range(vc_per_vnet + 1):
+            acks.append(h.fabric.inject_from_mc(
+                CoherenceMessage(MsgType.MEMORY_ACK, 64, i, 2, 0x40 * (i + 1)), 0, 0
+            ))
+            if i < 3:
+                wb_acks.append(h.fabric.inject_from_mc(
+                    CoherenceMessage(MsgType.WB_ACK, 64, 8 + i, 1, 0x40 * (i + 1)),
+                    0, 0,
+                ))
+        h.run(400)
+        assert len(h.chiplet_rx) == len(acks) + len(wb_acks)
+        assert [p.vc for p in acks] == [*range(vc_per_vnet), 0]
+        assert [p.vc for p in wb_acks] == [0, 1, 2]
+
+    def test_refused_packet_keeps_its_vc(self, topo8):
+        h = make_harness(topo8, 128, vc_per_vnet=4, vc_depth=1)
+        fabric = h.fabric
+        router = fabric.routers[topo8.mc_router(0)]
+        # A body flit at the front of the local port's VC 0 of vnet 2 is
+        # never ready to leave, so at depth 1 it fills that VC.
+        plug = fabric.new_packet(CoherenceMessage(
+            MsgType.MEMORY_DATA, 64, 8, 2, 0x40, cur_owner=8,
+            data_block=bytes(64)), 64, 8, 0)
+        local_vc0 = (noc._LOCAL_IDX * 4 + 2) * 4
+        router.buffers[local_vc0].append((plug.flits[1], plug))
+        first, second = (
+            fabric.inject_from_mc(
+                CoherenceMessage(MsgType.MEMORY_ACK, 64, core, 2, 0x80), 0, 0
+            )
+            for core in (0, 1)
+        )
+        h.run(80)
+        # Released by SNI-2 and refused on every cycle since.
+        assert first.vc == 0 and first.first_grant_tick == -1
+        assert second.vc is None
+        router.buffers[local_vc0].clear()
+        h.run(400, start=80)
+        assert first.vc == 0 and first.first_grant_tick >= 80
+        assert second.vc == 1
+        assert [m.destination_id for _, _, m in h.chiplet_rx] == [0, 1]
+
+
 def _inject(fabric, kind, tick):
     """One drawn burst of ``count`` packets: cores to the controllers in
     turn, a controller to cores spread over the chiplets, or a
@@ -433,6 +484,39 @@ def _drive(h, injections, check=None):
     assert not h.fabric.registry, "packets still in flight"
 
 
+def _reference_accept(accept):
+    """``ReferenceRouter.accept`` behind the SNI's three-argument hand-off.
+
+    Six arguments are a reference mesh hop and pass straight through.
+    Three are the SNI's ``(flit, packet, icycle)``: the hand-off as the
+    fabric made it when the reference router was current, with the entry
+    VC's round robin per (router, vnet), the head's hop, the first grant
+    and the ``sni->`` trace event."""
+    entry_vc = {}
+
+    def adapted(router, *args):
+        if len(args) == 6:
+            return accept(router, *args)
+        flit, packet, icycle = args
+        tick = icycle * CLOCK_RATIO
+        if packet.vc is None:
+            rr = entry_vc.get((router.id, packet.vnet), 0)
+            packet.vc = rr
+            entry_vc[(router.id, packet.vnet)] = (rr + 1) % router.vc_per_vnet
+        if not accept(router, noc._LOCAL_IDX, packet.vnet, packet.vc, flit,
+                      packet, tick):
+            return False
+        if flit.position in (noc._HEAD, noc._HEAD_TAIL):
+            packet.hops += 1
+            if packet.first_grant_tick < 0:
+                packet.first_grant_tick = tick
+        if router.trace is not None:
+            router.trace(tick, packet, flit, f"sni->{router.id}")
+        return True
+
+    return adapted
+
+
 class TestRouterReference:
     """``noc.Router`` against ``ReferenceRouter``, the earlier router that
     sorts and rescans its VCs every cycle: the same flits must cross the
@@ -447,6 +531,7 @@ class TestRouterReference:
                 # reference router has work while a VC holds a flit.
                 mp.setattr(router_cls, "busy", property(lambda r: r.occupied),
                            raising=False)
+                mp.setattr(router_cls, "accept", _reference_accept(router_cls.accept))
             h = make_harness(topo, width, vc_per_vnet=vc_per_vnet,
                              vc_depth=vc_depth, enable_trace=True)
             _drive(h, injections)
@@ -494,7 +579,7 @@ class TestRouterReference:
         for packet in (ahead, behind):
             packet.vc = 0
             for flit in packet.flits:
-                assert router.accept(4, 2, 0, flit, packet, 0)
+                assert router.accept(flit, packet, 0)
         h.run(200)
         east = f"{router.id}->{topo8.mc_router(0)}"
         north = f"{router.id}->{topo8.chiplet_router(1)}"

@@ -223,7 +223,7 @@ class _Harness:
         self.topo = topo
         self._next_pid = 100
 
-    def _forward(self, flit, packet):
+    def _forward(self, flit, packet, cycle):
         self.out.append((self.cycle, flit, packet))
         return True
 
@@ -337,7 +337,7 @@ class TestPipeline:
         after one leaves."""
         h = _Harness(topo8, sni1_cfg(topo8), 64)
         open_gate = False
-        h.unit.forward = lambda flit, packet: open_gate
+        h.unit.forward = lambda flit, packet, cycle: open_gate
         msg = CoherenceMessage(
             MsgType.WRITEBACK_DATA, 0, 64, 2, 0x40, dirty=True,
             data_block=bytes(64),
