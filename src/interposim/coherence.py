@@ -219,16 +219,17 @@ class Directory:
     """
 
     def __init__(self, mc: int, topo: Topology, dram: Dram, send, dram_latency: int):
+        """``dram_latency`` is in ticks."""
         self.node = topo.mc_node(mc)
         self.topo = topo
         self.dram = dram
-        self.send = send  # send(msg, target_chiplet=None)
+        self.send = send  # send(msg, tick, target_chiplet=None)
         self.dram_latency = dram_latency
         self.busy: dict[int, int] = {}
         self.entries: dict[int, DirEntry] = {}
         self.inbox: deque[tuple[CoherenceMessage, int]] = deque()
-        # (due icycle, address, requester, probes sent), in due order:
-        # icycle never decreases and the latency is fixed.
+        # (due tick, address, requester, probes sent), in due order: the
+        # step tick never decreases and the latency is fixed.
         self.dram_events: deque[tuple[int, int, int, int]] = deque()
         self.stats_strays = 0
 
@@ -239,7 +240,9 @@ class Directory:
     def deliver(self, msg: CoherenceMessage, tick: int) -> None:
         self.inbox.append((msg, tick))
 
-    def _probe(self, kind: MsgType, address: int, requester: int, chiplets) -> int:
+    def _probe(
+        self, kind: MsgType, address: int, requester: int, chiplets, tick: int
+    ) -> int:
         # A message is frozen, so one serves every target chiplet; each
         # packet still gets its own flits.
         probe = CoherenceMessage(
@@ -251,10 +254,10 @@ class Directory:
             cur_owner=requester,
         )
         for chiplet in chiplets:
-            self.send(probe, target_chiplet=chiplet)
+            self.send(probe, tick, chiplet)
         return len(chiplets)
 
-    def _handle_request(self, msg: CoherenceMessage, icycle: int) -> None:
+    def _handle_request(self, msg: CoherenceMessage, tick: int) -> None:
         address = msg.address
         requester = msg.requester_id
         mtype = msg.msg_type
@@ -262,9 +265,8 @@ class Directory:
         if mtype in (MsgType.GETS, MsgType.GET_INSTR, MsgType.GETX):
             if address in self.busy:
                 self.send(
-                    CoherenceMessage(
-                        MsgType.NACK, self.node, requester, 2, address
-                    )
+                    CoherenceMessage(MsgType.NACK, self.node, requester, 2, address),
+                    tick,
                 )
                 return
             self.busy[address] = requester
@@ -273,28 +275,34 @@ class Directory:
             if entry is not None:
                 owner_chiplet = self.topo.chiplet_of_core(entry.owner)
                 if mtype is MsgType.GETX and entry.sharers:
-                    n = self._probe(probe, address, requester, range(self.topo.n_chiplets))
+                    chiplets = range(self.topo.n_chiplets)
                 else:
-                    n = self._probe(probe, address, requester, [owner_chiplet])
+                    chiplets = [owner_chiplet]
+                n = self._probe(probe, address, requester, chiplets, tick)
                 self.send(
                     CoherenceMessage(
                         MsgType.MEMORY_ACK, self.node, requester, 2, address, cur_owner=n
-                    )
+                    ),
+                    tick,
                 )
             else:
-                n = self._probe(probe, address, requester, range(self.topo.n_chiplets))
+                n = self._probe(
+                    probe, address, requester, range(self.topo.n_chiplets), tick
+                )
                 self.dram_events.append(
-                    (icycle + self.dram_latency, address, requester, n)
+                    (tick + self.dram_latency, address, requester, n)
                 )
         elif mtype is MsgType.PUT:
             if address in self.busy:
                 self.send(
-                    CoherenceMessage(MsgType.WB_NACK, self.node, requester, 1, address)
+                    CoherenceMessage(MsgType.WB_NACK, self.node, requester, 1, address),
+                    tick,
                 )
             else:
                 self.busy[address] = requester
                 self.send(
-                    CoherenceMessage(MsgType.WB_ACK, self.node, requester, 1, address)
+                    CoherenceMessage(MsgType.WB_ACK, self.node, requester, 1, address),
+                    tick,
                 )
         elif mtype is MsgType.WRITEBACK_DATA:
             self.dram.write(address, msg.data_block)
@@ -313,14 +321,14 @@ class Directory:
             # Only reachable through an unfiltered hostile packet.
             self.stats_strays += 1
 
-    def step(self, icycle: int) -> bool:
+    def step(self, tick: int) -> bool:
         progressed = False
         while self.inbox:
             msg, _ = self.inbox.popleft()
-            self._handle_request(msg, icycle)
+            self._handle_request(msg, tick)
             progressed = True
         events = self.dram_events
-        while events and events[0][0] <= icycle:
+        while events and events[0][0] <= tick:
             _, address, requester, n = events.popleft()
             self.send(
                 CoherenceMessage(
@@ -331,7 +339,8 @@ class Directory:
                     address,
                     cur_owner=n,
                     data_block=self.dram.read(address),
-                )
+                ),
+                tick,
             )
             progressed = True
         return progressed
@@ -340,20 +349,19 @@ class Directory:
 class _Txn:
     __slots__ = (
         "kind", "address", "value", "expected", "resps",
-        "shared", "owner_data", "owner_id", "mem_data", "summary",
+        "shared", "owner_data", "owner_id", "mem_data",
     )
 
     def __init__(self, kind: MsgType, address: int, value: int):
         self.kind = kind
         self.address = address
         self.value = value
-        self.expected: int | None = None
+        self.expected: int | None = None  # set by the directory's summary
         self.resps = 0
         self.shared = False
         self.owner_data: bytes | None = None
         self.owner_id: int | None = None
         self.mem_data: bytes | None = None
-        self.summary = False
 
 
 class Core:
@@ -421,6 +429,9 @@ class Core:
             if self.retry_tick is not None and tick >= self.retry_tick:
                 self.retry_tick = None
                 self.stats_retries += 1
+                # Fresh response accounting for each re-issue.
+                txn = self.txn
+                self.txn = _Txn(txn.kind, txn.address, txn.value)
                 self._send_request(tick)
             return False
         if self.op_idx >= len(self.ops) or tick < self.next_issue_tick:
@@ -459,14 +470,6 @@ class Core:
     def _send_request(self, tick: int) -> None:
         txn = self.txn
         home = self.topo.mc_node(self.topo.home_mc(txn.address))
-        # Fresh response accounting for each (re)issue.
-        txn.expected = None
-        txn.resps = 0
-        txn.shared = False
-        txn.owner_data = None
-        txn.owner_id = None
-        txn.mem_data = None
-        txn.summary = False
         self.send(
             CoherenceMessage(txn.kind, self.id, home, 0, txn.address), tick
         )
@@ -511,7 +514,6 @@ class Core:
             self.retry_tick = tick + RETRY_BACKOFF_TICKS
             return
         if mtype in (MsgType.MEMORY_DATA, MsgType.MEMORY_ACK):
-            txn.summary = True
             txn.expected = msg.cur_owner
             if mtype is MsgType.MEMORY_DATA:
                 txn.mem_data = msg.data_block
@@ -531,7 +533,7 @@ class Core:
         else:
             self.stats_strays += 1
             return
-        if txn.summary and txn.resps == txn.expected:
+        if txn.resps == txn.expected:
             self._complete(tick)
 
     def _finish_eviction(self, msg: CoherenceMessage, tick: int) -> None:

@@ -8,7 +8,8 @@ reproduces byte-identical reports.  Within one tick:
 
 1. every fourth tick (one interposer cycle): permission updates, the
    directories with a message pending or a DRAM event due, in
-   controller order, then the interposer fabric;
+   controller order, each sending at the tick it steps, then the
+   interposer fabric;
 2. the chiplet hubs, which deliver packets to cores and agents;
 3. the attacks whose trigger tick has come;
 4. the cores whose wake tick has come, in core-id order.
@@ -43,7 +44,6 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass, field
-from functools import partial
 from types import MappingProxyType
 
 from .apu import ApuTable, Permission
@@ -60,7 +60,6 @@ from .coherence import (
 )
 from .messages import ADDRESS_LIMIT, LINK_WIDTHS, PROBE_TYPES
 from .noc import CLOCK_RATIO, Fabric, Packet
-from .sni import SniConfig, SniKind, SniUnit
 from .topology import Topology
 from . import workloads
 from .workloads import WorkloadSpec
@@ -254,7 +253,6 @@ class Simulator:
         self.topo = cfg.topology()
         topo = self.topo
         base_table = cfg.permissions or ApuTable.uniform(Permission.READ_WRITE)
-        self.tick = 0
         self.swmr = SwmrChecker()
         self.oracle = MemoryOracle()
         self.dram = Dram()
@@ -262,42 +260,43 @@ class Simulator:
         self.delivery_log: dict[str, list[str]] | None = (
             {} if cfg.collect_delivery_log else None
         )
-        self.probes_delivered = {k: 0 for k in range(topo.n_chiplets)}
+        self.probes_delivered = [0] * topo.n_chiplets
 
+        # Each SNI holds its interface router's permission table replica.
         self.fabric = Fabric(
             topo,
             cfg.interposer_width,
             cfg.vc_per_vnet,
             cfg.vc_depth,
-            sni_factory=partial(self._sni_factory, base_table),
-            deliver_chiplet=self._deliver_chiplet,
-            deliver_mc=self._deliver_mc,
+            base_table,
+            self._deliver_chiplet,
+            self._deliver_mc,
+            cfg.sni_enabled,
+            cfg.sni2_rewrite,
         )
-        # Each SNI holds its interface router's permission table replica.
-        self._snis = [*self.fabric.chiplet_snis.values(), *self.fabric.mc_snis.values()]
         self._pending_updates = sorted(cfg.permission_updates)
 
-        self.directories = {
-            m: Directory(
-                m, topo, self.dram, self._make_dir_send(m), cfg.dram_latency
+        self.directories = [
+            Directory(
+                m, topo, self.dram, self.fabric.inject_from_mc,
+                cfg.dram_latency * CLOCK_RATIO,
             )
             for m in range(topo.n_mcs)
-        }
-        self._dir_order = [self.directories[m] for m in sorted(self.directories)]
-        self._n_cores = topo.n_cores
-        self.cores: dict[int, Core] = {}
-        for c in range(topo.n_cores):
-            cache = PrivateCache(cfg.cache_lines, self.swmr.update)
-            self.cores[c] = Core(
-                c, topo, cache, self.fabric.inject_from_core, self.oracle.commit
+        ]
+        self.cores = [
+            Core(
+                c, topo, PrivateCache(cfg.cache_lines, self.swmr.update),
+                self.fabric.inject_from_core, self.oracle.commit,
             )
-        self.agents = {
-            k: ChipletAgent(
+            for c in range(topo.n_cores)
+        ]
+        self.agents = [
+            ChipletAgent(
                 k, [self.cores[c] for c in topo.core_range(k)], topo,
                 self.fabric.inject_from_core,
             )
             for k in range(topo.n_chiplets)
-        }
+        ]
 
         ops = workloads.generate(cfg.workload, topo, base_table, cfg.seed)
         for c, stream in ops.items():
@@ -318,27 +317,7 @@ class Simulator:
         self.halt_detail = ""
         self.violations = []
 
-    # -- wiring -----------------------------------------------------------
-
-    def _sni_factory(
-        self, table: ApuTable, kind: SniKind, index: int, forward, drop
-    ) -> SniUnit:
-        cfg = self.cfg
-        return SniUnit(
-            SniConfig.for_link(kind, index, self.topo),
-            cfg.interposer_width,
-            table=table,
-            forward=forward,
-            drop_packet=drop,
-            enabled=cfg.sni_enabled,
-            rewrite_enabled=cfg.sni2_rewrite,
-        )
-
-    def _make_dir_send(self, mc: int):
-        def send(msg, target_chiplet=None):
-            self.fabric.inject_from_mc(msg, mc, self.tick, target_chiplet)
-
-        return send
+    # -- delivery ---------------------------------------------------------
 
     def _log_delivery(self, key: str, msg) -> None:
         self.delivery_log.setdefault(key, []).append(msg.canonical_text())
@@ -351,7 +330,7 @@ class Simulator:
             if logging:
                 self._log_delivery(f"chiplet{chiplet}", msg)
             self.agents[chiplet].handle_probe(msg, tick)
-        elif 0 <= msg.destination_id < self._n_cores:
+        elif 0 <= msg.destination_id < len(self.cores):
             if logging:
                 self._log_delivery(f"core{msg.destination_id}", msg)
             if packet.malicious:
@@ -396,24 +375,27 @@ class Simulator:
         return heap[0][0] if heap else None
 
     def _dirs_idle(self) -> bool:
-        return all(d.idle for d in self.directories.values())
+        return all(d.idle for d in self.directories)
 
     def _apply_permission_updates(self, icycle: int) -> None:
         while self._pending_updates and self._pending_updates[0][0] <= icycle:
             _, region, chiplet, perm = self._pending_updates.pop(0)
             # A single privileged write lands in every replica between
             # cycles: swap all snapshots at once.
-            updated = self._snis[0].table.privileged_update(region, chiplet, perm)
-            for unit in self._snis:
+            snis = self.fabric.snis
+            updated = snis[0].table.privileged_update(region, chiplet, perm)
+            for unit in snis:
                 unit.table = updated
 
     @property
     def replicas(self) -> MappingProxyType:
         """Read-only view of the table each interface router's SNI holds."""
-        return MappingProxyType({u.cfg.attached_router: u.table for u in self._snis})
+        return MappingProxyType(
+            {u.cfg.attached_router: u.table for u in self.fabric.snis}
+        )
 
     def replicas_identical(self) -> bool:
-        return len({unit.table.serialize() for unit in self._snis}) == 1
+        return len({unit.table.serialize() for unit in self.fabric.snis}) == 1
 
     def run(self) -> SimReport:
         cfg = self.cfg
@@ -422,7 +404,7 @@ class Simulator:
         self._wakeups = wakeups = []
         self._wake = [None] * len(cores)
         self._waiting = set()
-        for core in cores.values():
+        for core in cores:
             self._post(core, 0)
         fabric = self.fabric
         attack_queue = self._attack_queue
@@ -430,16 +412,14 @@ class Simulator:
         last_progress = 0
         halted = False
         while tick <= cfg.max_ticks:
-            self.tick = tick
             self.swmr.tick = tick
             progressed = False
             if tick % CLOCK_RATIO == 0:
-                icycle = tick // CLOCK_RATIO
-                self._apply_permission_updates(icycle)
-                for directory in self._dir_order:
+                self._apply_permission_updates(tick // CLOCK_RATIO)
+                for directory in self.directories:
                     events = directory.dram_events
-                    if directory.inbox or (events and events[0][0] <= icycle):
-                        progressed |= directory.step(icycle)
+                    if directory.inbox or (events and events[0][0] <= tick):
+                        progressed |= directory.step(tick)
                 violations, moved = fabric.step_interposer(tick)
                 progressed |= moved
                 if violations:
@@ -513,14 +493,11 @@ class Simulator:
     # -- reporting --------------------------------------------------------
 
     def _sni_summary(self) -> dict:
+        fabric = self.fabric
+        names = [f"sni1-chiplet{k}" for k in range(len(fabric.chiplet_snis))]
+        names += [f"sni2-mc{m}" for m in range(len(fabric.mc_snis))]
         out = {}
-        for name, unit in sorted(
-            list(
-                (f"sni1-chiplet{k}", u)
-                for k, u in self.fabric.chiplet_snis.items()
-            )
-            + list((f"sni2-mc{m}", u) for m, u in self.fabric.mc_snis.items())
-        ):
+        for name, unit in zip(names, fabric.snis):
             s = unit.stats
             out[name] = {
                 "checked": s.checked,
@@ -534,19 +511,15 @@ class Simulator:
         return out
 
     def _report(self) -> SimReport:
-        full_census = self.swmr.full_check(
-            [core.cache for core in self.cores.values()]
-        )
+        full_census = self.swmr.full_check([core.cache for core in self.cores])
         counters = {
-            "transactions": sum(c.stats_transactions for c in self.cores.values()),
-            "retries": sum(c.stats_retries for c in self.cores.values()),
+            "transactions": sum(c.stats_transactions for c in self.cores),
+            "retries": sum(c.stats_retries for c in self.cores),
             "commits": self.oracle.commits,
             "probes_delivered": {
-                str(k): v for k, v in sorted(self.probes_delivered.items())
+                str(k): v for k, v in enumerate(self.probes_delivered)
             },
-            "nacks_rewritten": sum(
-                u.stats.rewrites for u in self.fabric.mc_snis.values()
-            ),
+            "nacks_rewritten": sum(u.stats.rewrites for u in self.fabric.mc_snis),
             "replicas_identical": self.replicas_identical(),
             "final_tick": self.halt_tick,
         }
@@ -555,7 +528,7 @@ class Simulator:
             halt_cause=self.halt_cause,
             halt_tick=self.halt_tick,
             halt_detail=self.halt_detail,
-            violations=[json.loads(v.to_json()) for v in self.violations],
+            violations=[v.to_dict() for v in self.violations],
             latency=self.fabric.latency.summary(),
             sni=self._sni_summary(),
             counters=counters,

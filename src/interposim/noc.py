@@ -27,7 +27,8 @@ from collections import deque
 from functools import partial
 
 from .messages import CHIPLET_LINK_BITS, CoherenceMessage, Flit, FlitPosition, encode
-from .sni import SniKind, SniUnit
+from .apu import ApuTable
+from .sni import SniConfig, SniKind, SniUnit
 from .topology import Port, Topology, TopologyError
 
 CLOCK_RATIO = 4  # interposer period in chiplet ticks (1 GHz vs 250 MHz)
@@ -521,9 +522,10 @@ class McNi:
 class Fabric:
     """The assembled interconnect: routers, boundaries, NIs and SNIs.
 
-    The harness owns the clock; call step_interposer on every fourth
-    tick (before step_chiplets for the same tick) and step_chiplets on
-    every tick.
+    The fabric builds every SNI, one per ingress link, each holding
+    ``table`` until a privileged update swaps it.  The harness owns the
+    clock; call step_interposer on every fourth tick (before
+    step_chiplets for the same tick) and step_chiplets on every tick.
     """
 
     def __init__(
@@ -532,13 +534,12 @@ class Fabric:
         interposer_width: int,
         vc_per_vnet: int,
         vc_depth: int,
-        sni_factory,
+        table: ApuTable,
         deliver_chiplet,
         deliver_mc,
+        sni_enabled: bool = True,
+        sni2_rewrite: bool = True,
     ):
-        """sni_factory(kind, index, forward, drop) -> SniUnit, where kind
-        is a SniKind, index the chiplet or memory controller, and forward
-        the ``accept`` of the router that the SNI feeds."""
         self.topo = topo
         self.iw = interposer_width
         # The live packets: made and neither delivered nor dropped yet.
@@ -550,6 +551,7 @@ class Fabric:
         self.trace_events: list[tuple[int, int, str]] | None = None
         self._next_pid = 0
 
+        # By router id, in id order: the order every cycle steps them in.
         self.routers = {
             rid: Router(rid, topo, vc_per_vnet, vc_depth)
             for rid in topo.all_routers()
@@ -564,37 +566,38 @@ class Fabric:
                     continue
             router.finish_wiring()
 
-        self.hubs: dict[int, ChipletHub] = {}
-        self.boundaries: dict[int, ChipletBoundary] = {}
-        self.chiplet_snis: dict[int, SniUnit] = {}
+        def link_sni(kind: SniKind, index: int, router: Router) -> SniUnit:
+            return SniUnit(
+                SniConfig.for_link(kind, index, topo), interposer_width, table,
+                router.accept, self._drop, sni_enabled, sni2_rewrite,
+            )
+
+        # Lists by chiplet or controller index; ``snis`` in stepping
+        # order, the chiplet units first.
+        self.hubs: list[ChipletHub] = []
+        self.boundaries: list[ChipletBoundary] = []
+        self.snis: list[SniUnit] = []
         for k in range(topo.n_chiplets):
-            rid = topo.chiplet_router(k)
+            router = self.routers[topo.chiplet_router(k)]
             hub = ChipletHub(k, topo, partial(self._deliver, deliver_chiplet, k))
-            sni = sni_factory(SniKind.SNI1, k, self.routers[rid].accept, self._drop)
-            boundary = ChipletBoundary(k, interposer_width, sni)
-            hub.boundary = boundary
-            self.routers[rid].local_sink = ChipletIngress(k, interposer_width, hub).sink
-            self.hubs[k] = hub
-            self.boundaries[k] = boundary
-            self.chiplet_snis[k] = sni
+            unit = link_sni(SniKind.SNI1, k, router)
+            hub.boundary = ChipletBoundary(k, interposer_width, unit)
+            router.local_sink = ChipletIngress(k, interposer_width, hub).sink
+            self.hubs.append(hub)
+            self.boundaries.append(hub.boundary)
+            self.snis.append(unit)
 
-        self.mc_nis: dict[int, McNi] = {}
-        self.mc_snis: dict[int, SniUnit] = {}
+        self.mc_nis: list[McNi] = []
         for m in range(topo.n_mcs):
-            rid = topo.mc_router(m)
-            sni = sni_factory(SniKind.SNI2, m, self.routers[rid].accept, self._drop)
-            ni = McNi(sni, partial(self._deliver, deliver_mc, m))
-            self.routers[rid].local_sink = ni.sink
-            self.mc_nis[m] = ni
-            self.mc_snis[m] = sni
+            router = self.routers[topo.mc_router(m)]
+            unit = link_sni(SniKind.SNI2, m, router)
+            ni = McNi(unit, partial(self._deliver, deliver_mc, m))
+            router.local_sink = ni.sink
+            self.mc_nis.append(ni)
+            self.snis.append(unit)
+        self.chiplet_snis = self.snis[:topo.n_chiplets]
+        self.mc_snis = self.snis[topo.n_chiplets:]
 
-        self._routers_order = [self.routers[r] for r in sorted(self.routers)]
-        self._boundary_order = [self.boundaries[k] for k in sorted(self.boundaries)]
-        self._mc_ni_order = [self.mc_nis[m] for m in sorted(self.mc_nis)]
-        self._sni_order = [
-            self.chiplet_snis[k] for k in sorted(self.chiplet_snis)
-        ] + [self.mc_snis[m] for m in sorted(self.mc_snis)]
-        self._hub_order = [self.hubs[k] for k in sorted(self.hubs)]
         self._core_hub = [self.hubs[topo.chiplet_of_core(c)] for c in range(topo.n_cores)]
         # Destination routers by chiplet and by core or controller node id;
         # new_packet asks the topology about any other id.
@@ -613,7 +616,6 @@ class Fabric:
         dest_node: int,
         tick: int,
         target_chiplet: int | None = None,
-        malicious: bool = False,
     ) -> Packet:
         pid = self._next_pid
         self._next_pid += 1
@@ -625,46 +627,41 @@ class Fabric:
             dest_router = self.topo.dest_router(dest_node, target_chiplet)
         packet = Packet(pid, msg, src_node, dest_node, dest_router, target_chiplet)
         packet.inject_tick = tick
-        packet.malicious = malicious
         packet.flits = encode(msg, self.iw)
         packet.flit_total = len(packet.flits)
         self.flits_injected += packet.flit_total
         self.registry[pid] = packet
         return packet
 
-    def inject_from_core(
-        self, msg: CoherenceMessage, tick: int, malicious: bool = False
-    ) -> Packet:
-        packet = self.new_packet(
-            msg, msg.requester_id, msg.destination_id, tick, malicious=malicious
-        )
+    def inject_from_core(self, msg: CoherenceMessage, tick: int) -> Packet:
+        packet = self.new_packet(msg, msg.requester_id, msg.destination_id, tick)
         self._core_hub[msg.requester_id].enqueue(packet)
         return packet
 
     def inject_from_core_as(
-        self, msg: CoherenceMessage, src_core: int, tick: int, malicious: bool = True
+        self, msg: CoherenceMessage, src_core: int, tick: int
     ) -> Packet:
-        """Inject on a chosen core's link regardless of the claimed
-        requester: the spoofing/attack entry point."""
-        try:
-            self.topo.dest_router(msg.destination_id)
-            dest = msg.destination_id
-        except TopologyError:
+        """Inject a malicious packet on a chosen core's link regardless of
+        the claimed requester: the spoofing/attack entry point."""
+        dest = msg.destination_id
+        if dest not in self._node_router:
             # Unroutable destination (broadcast id or junk): the packet
             # still heads onto the interposer and meets the link's SNI.
             dest = self.topo.mc_node(0)
-        packet = self.new_packet(msg, src_core, dest, tick, malicious=malicious)
-        self.hubs[self.topo.chiplet_of_core(src_core)].enqueue(packet)
+        packet = self.new_packet(msg, src_core, dest, tick)
+        packet.malicious = True
+        self._core_hub[src_core].enqueue(packet)
         return packet
 
     def inject_from_mc(
-        self, msg: CoherenceMessage, mc: int, tick: int, target_chiplet: int | None = None
+        self, msg: CoherenceMessage, tick: int, target_chiplet: int | None = None
     ) -> Packet:
+        """Inject on the link of the controller that ``msg`` names as its
+        requester."""
         packet = self.new_packet(
-            msg, self.topo.mc_node(mc), msg.destination_id, tick,
-            target_chiplet=target_chiplet,
+            msg, msg.requester_id, msg.destination_id, tick, target_chiplet
         )
-        self.mc_nis[mc].enqueue(packet)
+        self.mc_nis[self.topo.mc_index(msg.requester_id)].enqueue(packet)
         return packet
 
     def _deliver(self, callback, index: int, packet: Packet, tick: int) -> None:
@@ -709,25 +706,25 @@ class Fabric:
         icycle = tick // CLOCK_RATIO
         moved = False
         violations = []
-        for boundary in self._boundary_order:
+        for boundary in self.boundaries:
             if boundary.egress or boundary.pending:
                 moved |= boundary.step(icycle, tick)
-        for ni in self._mc_ni_order:
+        for ni in self.mc_nis:
             if ni.queue:
                 moved |= ni.step_egress(icycle, tick)
-        for sni in self._sni_order:
+        for sni in self.snis:
             # A unit does nothing before its front packet's release cycle.
             inflight = sni.inflight
             if inflight and inflight[0].release_cycle <= icycle:
                 violations.extend(sni.step(icycle))
-        for router in self._routers_order:
+        for router in self.routers.values():
             if router.busy:
                 moved |= router.step(tick)
         return violations, moved
 
     def step_chiplets(self, tick: int) -> bool:
         moved = False
-        for hub in self._hub_order:
+        for hub in self.hubs:
             # An empty hub cannot move: test that before the call.
             if (hub.ingress or hub.waiting) and hub.can_move(tick):
                 moved |= hub.step(tick)
@@ -735,7 +732,7 @@ class Fabric:
 
     def chiplets_idle(self, tick: int) -> bool:
         """No hub can move a beat at ``tick``."""
-        for hub in self._hub_order:
+        for hub in self.hubs:
             if hub.can_move(tick):
                 return False
         return True
@@ -758,18 +755,18 @@ class Fabric:
     def _held(self) -> set[int]:
         """Pids of the undropped packets that some buffer still holds."""
         held = []
-        for hub in self._hub_order:
+        for hub in self.hubs:
             for queue in hub.queues.values():
                 held.extend(queue)
             held.extend(p for _, p, _ in hub.ingress)
-        for boundary in self._boundary_order:
+        for boundary in self.boundaries:
             held.extend(p for _, p in boundary.egress)
             held.extend(boundary.pending)
-        for sni in self._sni_order:
+        for sni in self.snis:
             held.extend(entry.packet for entry in sni.inflight)
-        for router in self._routers_order:
+        for router in self.routers.values():
             for queue in router.buffers.values():
                 held.extend(p for _, p in queue)
-        for ni in self._mc_ni_order:
+        for ni in self.mc_nis:
             held.extend(ni.queue)
         return {p.pid for p in held if not p.dropped}

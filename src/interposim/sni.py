@@ -308,20 +308,20 @@ class ViolationRecord:
     def sort_key(self) -> tuple:
         return (self.router, self.port, self.packet_id)
 
+    def to_dict(self) -> dict:
+        return {
+            "cycle": self.cycle,
+            "router": self.router,
+            "port": self.port,
+            "sni": self.sni_kind,
+            "threat": self.threat.value,
+            "detail": self.detail,
+            "message": self.message,
+            "packet_id": self.packet_id,
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "cycle": self.cycle,
-                "router": self.router,
-                "port": self.port,
-                "sni": self.sni_kind,
-                "threat": self.threat.value,
-                "detail": self.detail,
-                "message": self.message,
-                "packet_id": self.packet_id,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 _UNJUDGED = 1 << 62  # release cycle of a packet not judged yet

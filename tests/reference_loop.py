@@ -29,33 +29,27 @@ from interposim.noc import CLOCK_RATIO
 def run_reference(sim: Simulator) -> SimReport:
     cfg = sim.cfg
     fabric = sim.fabric
-    directories = [sim.directories[m] for m in sorted(sim.directories)]
-    boundaries = [fabric.boundaries[k] for k in sorted(fabric.boundaries)]
-    mc_nis = [fabric.mc_nis[m] for m in sorted(fabric.mc_nis)]
-    snis = [fabric.chiplet_snis[k] for k in sorted(fabric.chiplet_snis)] + [
-        fabric.mc_snis[m] for m in sorted(fabric.mc_snis)
-    ]
+    directories = sim.directories
     routers = [fabric.routers[r] for r in sorted(fabric.routers)]
-    hubs = [fabric.hubs[k] for k in sorted(fabric.hubs)]
-    cores = [sim.cores[c] for c in sorted(sim.cores)]
+    cores = sim.cores
     attacks = sorted(cfg.attacks, key=lambda s: (s.trigger_tick, s.name))
 
     tick = 0
     last_progress = 0
     while tick <= cfg.max_ticks:
-        sim.tick = sim.swmr.tick = tick
+        sim.swmr.tick = tick
         progressed = False
         if tick % CLOCK_RATIO == 0:
             icycle = tick // CLOCK_RATIO
             sim._apply_permission_updates(icycle)
             for directory in directories:
-                progressed |= directory.step(icycle)
-            for boundary in boundaries:
+                progressed |= directory.step(tick)
+            for boundary in fabric.boundaries:
                 progressed |= boundary.step(icycle, tick)
-            for ni in mc_nis:
+            for ni in fabric.mc_nis:
                 progressed |= ni.step_egress(icycle, tick)
             violations = []
-            for sni in snis:
+            for sni in fabric.snis:
                 violations.extend(sni.step(icycle))
             for router in routers:
                 progressed |= router.step(tick)
@@ -66,7 +60,7 @@ def run_reference(sim: Simulator) -> SimReport:
                 sim.halt_tick = tick
                 sim.halt_detail = violations[0].detail
                 return sim._report()
-        for hub in hubs:
+        for hub in fabric.hubs:
             progressed |= hub.step(tick)
         while attacks and attacks[0].trigger_tick <= tick:
             scenario = attacks.pop(0)

@@ -79,7 +79,7 @@ def test_criterion_2_snooping_prevention(capsys):
     observer_probes = report.counters["probes_delivered"][str(observer)]
     filtered = sum(
         u.stats.filtered_per_chiplet.get(observer, 0)
-        for u in sim.fabric.mc_snis.values()
+        for u in sim.fabric.mc_snis
     )
     rep_core = cfg.topology().rep_core(observer)
     nacks_delivered = sum(
@@ -148,8 +148,8 @@ def test_criterion_4_sni_latency_exact(capsys):
         report = sim.run()
         d1 = {p.sni_delay for p in packets if p.sni_kind == "sni1"}
         d2 = {p.sni_delay for p in packets if p.sni_kind == "sni2"}
-        units1 = sum(1 for u in sim.fabric.chiplet_snis.values() if u.stats.checked)
-        units2 = sum(1 for u in sim.fabric.mc_snis.values() if u.stats.checked)
+        units1 = sum(1 for u in sim.fabric.chiplet_snis if u.stats.checked)
+        units2 = sum(1 for u in sim.fabric.mc_snis if u.stats.checked)
         ok &= (report.halt_cause == "completed" and not report.violations
                and d1 == {2} and d2 == {3} and units1 == 8 and units2 == 4)
         details.append(f"w{width}: sni1={sorted(d1)} sni2={sorted(d2)}")

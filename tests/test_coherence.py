@@ -124,17 +124,22 @@ class TestMemoryOracle:
 
 
 class DirectoryHarness:
-    def __init__(self, topo: Topology):
-        self.sent = []  # (message, target_chiplet)
-        self.dram = Dram()
-        self.dir = Directory(0, topo, self.dram,
-                             lambda msg, target_chiplet=None:
-                             self.sent.append((msg, target_chiplet)),
-                             dram_latency=5)
+    """A directory whose sends are recorded: ``sent`` holds (message,
+    target chiplet) pairs and ``sent_ticks`` the tick of each send."""
 
-    def request(self, msg, icycle=0):
-        self.dir.deliver(msg, icycle)
-        self.dir.step(icycle)
+    def __init__(self, topo: Topology, dram_latency: int = 5):
+        self.sent = []  # (message, target_chiplet)
+        self.sent_ticks = []
+        self.dram = Dram()
+        self.dir = Directory(0, topo, self.dram, self._send, dram_latency)
+
+    def _send(self, msg, tick, target_chiplet=None):
+        self.sent.append((msg, target_chiplet))
+        self.sent_ticks.append(tick)
+
+    def request(self, msg, tick=0):
+        self.dir.deliver(msg, tick)
+        self.dir.step(tick)
         out, self.sent = self.sent, []
         return out
 
@@ -206,10 +211,26 @@ class TestDirectory:
         h.dir.step(5)  # fire the pending DRAM fetch
         h.request(
             CoherenceMessage(MsgType.UNBLOCKS, 5, 64, 3, 0x100, cur_owner=NO_OWNER),
-            icycle=6,
+            tick=6,
         )
         assert 0x100 not in h.dir.entries
         assert h.dir.idle
+
+    def test_sends_carry_the_step_tick(self, topo8):
+        """Every reply leaves at the tick the directory stepped at, and the
+        DRAM data exactly ``dram_latency`` ticks after the request, not
+        one step before."""
+        h = DirectoryHarness(topo8, dram_latency=400)
+        out = h.request(CoherenceMessage(MsgType.GETS, 5, 64, 0, 0x100), tick=12)
+        assert len(out) == 8 and h.sent_ticks == [12] * 8
+        h.request(CoherenceMessage(MsgType.PUT, 9, 64, 0, 0x140), tick=16)
+        assert h.sent_ticks[8:] == [16]
+        assert not h.dir.step(12 + 400 - 4)
+        assert h.sent == []
+        assert h.dir.step(12 + 400)
+        (data, _), = h.sent
+        assert data.msg_type is MsgType.MEMORY_DATA
+        assert h.sent_ticks[9:] == [412]
 
     def test_stray_type_counted_not_crashed(self, topo8):
         h = DirectoryHarness(topo8)

@@ -11,7 +11,6 @@ from interposim.apu import ApuTable, Permission
 from interposim.harness import VC_CHOICES
 from interposim.messages import CoherenceMessage, MsgType, decode
 from interposim.noc import CHIPLET_LINK_BITS, CLOCK_RATIO, Fabric
-from interposim.sni import SniConfig, SniUnit
 from interposim.topology import Port, Topology, TopologyError
 from reference_router import ReferenceRouter
 
@@ -102,17 +101,12 @@ class FabricHarness:
     def __init__(self, topo: Topology, width: int, sni_enabled: bool = True,
                  vc_per_vnet: int = 4, vc_depth: int = 4,
                  enable_trace: bool = False):
-        self.topo = topo
-        self.width = width
-        self.table = ApuTable.uniform(Permission.READ_WRITE)
         self.chiplet_rx = []  # (tick, chiplet, message)
         self.mc_rx = []  # (tick, mc, message)
-        self.sni_enabled = sni_enabled
         self.fabric = Fabric(
             topo, width, vc_per_vnet, vc_depth,
-            sni_factory=self._sni_factory,
-            deliver_chiplet=self._deliver_chiplet,
-            deliver_mc=self._deliver_mc,
+            ApuTable.uniform(Permission.READ_WRITE),
+            self._deliver_chiplet, self._deliver_mc, sni_enabled,
         )
         if enable_trace:
             self.fabric.enable_trace()
@@ -127,11 +121,6 @@ class FabricHarness:
             self.sunk.setdefault(packet.pid, []).append(flit)
 
         return record
-
-    def _sni_factory(self, kind, index, forward, spawn):
-        return SniUnit(SniConfig.for_link(kind, index, self.topo), self.width,
-                       self.table, forward, spawn,
-                       enabled=self.sni_enabled)
 
     def _deliver_chiplet(self, chiplet, packet, tick):
         self.chiplet_rx.append((tick, chiplet, packet.msg))
@@ -182,10 +171,25 @@ class TestFabricTransport:
             MsgType.MEMORY_DATA, 64, 42, 2, 0x80, cur_owner=8,
             data_block=bytes(range(64)),
         )
-        packet = h.fabric.inject_from_mc(msg, 0, 0)
+        packet = h.fabric.inject_from_mc(msg, 0)
         h.run(400)
         assert h.chiplet_rx == [({64: 65, 128: 41}[width], 5, msg)]
         assert decode(h.sunk[packet.pid], width) == msg
+
+    def test_mc_link_found_from_the_requester(self, topo8):
+        """A controller's message enters on its own link: only that
+        controller's SNI-2 judges it, and it is delivered."""
+        for m in range(topo8.n_mcs):
+            h = make_harness(topo8, 128)
+            msg = CoherenceMessage(MsgType.MEMORY_ACK, 64 + m, 8 * m + 1, 2, 0x40)
+            packet = h.fabric.inject_from_mc(msg, 0)
+            h.run(200)
+            assert [u.stats.checked for u in h.fabric.mc_snis] == [
+                int(i == m) for i in range(topo8.n_mcs)
+            ]
+            assert all(u.stats.checked == 0 for u in h.fabric.chiplet_snis)
+            assert packet.src_node == 64 + m and packet.sni_kind == "sni2"
+            assert [(k, got) for _, k, got in h.chiplet_rx] == [(m, msg)]
 
     def test_broadcast_probe_targets_each_chiplet(self, topo8):
         probe = CoherenceMessage(
@@ -193,7 +197,7 @@ class TestFabricTransport:
         )
         h = make_harness(topo8, 128)
         for k in range(topo8.n_chiplets):
-            h.fabric.inject_from_mc(probe, 0, 0, target_chiplet=k)
+            h.fabric.inject_from_mc(probe, 0, target_chiplet=k)
         h.run(600)
         assert sorted(c for _, c, _ in h.chiplet_rx) == list(range(8))
 
@@ -205,7 +209,7 @@ class TestFabricTransport:
         assert h.chiplet_rx == [(1, 0, msg)]
         assert packet.loopback
         assert packet.hops == 0
-        assert all(u.stats.checked == 0 for u in h.fabric.chiplet_snis.values())
+        assert all(u.stats.checked == 0 for u in h.fabric.chiplet_snis)
 
     def test_loopback_data_timing(self, topo8):
         msg = CoherenceMessage(
@@ -298,7 +302,7 @@ class TestFabricTransport:
             MsgType.DATA, 1, 3, 2, 0x40, data_block=block), 0)
         h.fabric.inject_from_mc(CoherenceMessage(
             MsgType.MEMORY_DATA, 64, 42, 2, 0x80, cur_owner=8,
-            data_block=block), 0, 0)
+            data_block=block), 0)
         in_flight = []
         for tick in range(100):
             h.run(tick + 1, start=tick)
@@ -376,12 +380,11 @@ class TestEntryVc:
         acks, wb_acks = [], []
         for i in range(vc_per_vnet + 1):
             acks.append(h.fabric.inject_from_mc(
-                CoherenceMessage(MsgType.MEMORY_ACK, 64, i, 2, 0x40 * (i + 1)), 0, 0
+                CoherenceMessage(MsgType.MEMORY_ACK, 64, i, 2, 0x40 * (i + 1)), 0
             ))
             if i < 3:
                 wb_acks.append(h.fabric.inject_from_mc(
-                    CoherenceMessage(MsgType.WB_ACK, 64, 8 + i, 1, 0x40 * (i + 1)),
-                    0, 0,
+                    CoherenceMessage(MsgType.WB_ACK, 64, 8 + i, 1, 0x40 * (i + 1)), 0
                 ))
         h.run(400)
         assert len(h.chiplet_rx) == len(acks) + len(wb_acks)
@@ -401,7 +404,7 @@ class TestEntryVc:
         router.buffers[local_vc0].append((plug.flits[1], plug))
         first, second = (
             fabric.inject_from_mc(
-                CoherenceMessage(MsgType.MEMORY_ACK, 64, core, 2, 0x80), 0, 0
+                CoherenceMessage(MsgType.MEMORY_ACK, 64, core, 2, 0x80), 0
             )
             for core in (0, 1)
         )
@@ -442,13 +445,13 @@ def _inject(fabric, kind, tick):
                 )
             else:
                 msg = CoherenceMessage(MsgType.WB_ACK, 64 + a, core, 1, address)
-            fabric.inject_from_mc(msg, a, tick)
+            fabric.inject_from_mc(msg, tick)
         else:
             probe = MsgType.PROBE_INV if data else MsgType.PROBE
             msg = CoherenceMessage(probe, 64 + a, 255, 1, address, cur_owner=i)
             for chiplet in range(8):
                 if (b >> chiplet) & 1:
-                    fabric.inject_from_mc(msg, a, tick, target_chiplet=chiplet)
+                    fabric.inject_from_mc(msg, tick, target_chiplet=chiplet)
 
 
 _INJECTIONS = st.lists(

@@ -394,6 +394,7 @@ def test_violation_record_json_round_trips():
         threat=ThreatClass.DIVERTING, detail="d", message="m", packet_id=3,
     )
     loaded = json.loads(record.to_json())
+    assert record.to_dict() == loaded
     assert loaded["threat"] == "diverting"
     assert loaded["router"] == 80
     assert record.sort_key() == (80, "L", 3)
