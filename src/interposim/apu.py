@@ -150,6 +150,8 @@ class ApuTable:
     def __post_init__(self):
         if not self.entries:
             raise ApuError("table needs at least one region entry")
+        if self.region_shift < 0:
+            raise ApuError(f"region shift {self.region_shift} is negative")
 
     @property
     def n_regions(self) -> int:

@@ -38,6 +38,15 @@ from .harness import (
 from .workloads import KINDS as WORKLOAD_KINDS, WorkloadError
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits with ``EXIT_CONFIG`` on a usage error, where argparse would
+    exit 2, the code of a security halt."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--preset", default="baseline-128",
@@ -247,7 +256,7 @@ def _cmd_validate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="interposim",
         description="Flit-level simulator of a security-filtered interposer NoC",
     )

@@ -227,7 +227,7 @@ class Directory:
         self.dram_latency = dram_latency
         self.busy: dict[int, int] = {}
         self.entries: dict[int, DirEntry] = {}
-        self.inbox: deque[tuple[CoherenceMessage, int]] = deque()
+        self.inbox: deque[CoherenceMessage] = deque()
         # (due tick, address, requester, probes sent), in due order: the
         # step tick never decreases and the latency is fixed.
         self.dram_events: deque[tuple[int, int, int, int]] = deque()
@@ -237,8 +237,8 @@ class Directory:
     def idle(self) -> bool:
         return not self.busy and not self.inbox and not self.dram_events
 
-    def deliver(self, msg: CoherenceMessage, tick: int) -> None:
-        self.inbox.append((msg, tick))
+    def deliver(self, msg: CoherenceMessage) -> None:
+        self.inbox.append(msg)
 
     def _probe(
         self, kind: MsgType, address: int, requester: int, chiplets, tick: int
@@ -324,8 +324,7 @@ class Directory:
     def step(self, tick: int) -> bool:
         progressed = False
         while self.inbox:
-            msg, _ = self.inbox.popleft()
-            self._handle_request(msg, tick)
+            self._handle_request(self.inbox.popleft(), tick)
             progressed = True
         events = self.dram_events
         while events and events[0][0] <= tick:
@@ -376,7 +375,6 @@ class Core:
         commit,
     ):
         self.id = core_id
-        self.chiplet = topo.chiplet_of_core(core_id)
         self.topo = topo
         self.cache = cache
         self.send = send  # send(msg, tick)

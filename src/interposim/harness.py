@@ -348,7 +348,7 @@ class Simulator:
             self._log_delivery(f"mc{mc}", packet.msg)
         if packet.malicious:
             self.leaked_deliveries += 1
-        self.directories[mc].deliver(packet.msg, tick)
+        self.directories[mc].deliver(packet.msg)
 
     # -- loop -------------------------------------------------------------
 

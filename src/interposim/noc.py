@@ -51,14 +51,16 @@ class Packet:
     """One message in flight, with its flits and latency bookkeeping.
 
     Timestamps are global ticks.  ``flits`` holds the interposer-width
-    encoding, the only one.
+    encoding, the only one.  The last five slots belong to the one SNI
+    the packet crosses (see ``SniUnit``).
     """
 
     __slots__ = (
-        "pid", "msg", "src_node", "dest_node", "target_chiplet", "vnet",
+        "pid", "msg", "src_node", "target_chiplet", "vnet",
         "vc", "dest_router", "flits", "flit_total", "inject_tick",
         "first_grant_tick", "deliver_tick", "hops", "sni_delay", "sni_kind",
         "dropped", "malicious", "loopback",
+        "arrived", "forwarded", "verdict", "header", "release_cycle",
     )
 
     def __init__(
@@ -66,14 +68,12 @@ class Packet:
         pid: int,
         msg: CoherenceMessage,
         src_node: int,
-        dest_node: int,
         dest_router: int,
         target_chiplet: int | None = None,
     ):
         self.pid = pid
         self.msg = msg
         self.src_node = src_node
-        self.dest_node = dest_node
         self.target_chiplet = target_chiplet
         self.vnet = msg.vnet
         self.vc: int | None = None
@@ -89,6 +89,7 @@ class Packet:
         self.dropped = False
         self.malicious = False
         self.loopback = False
+        self.arrived = self.forwarded = 0
 
 
 def nearest_rank(count: int, fraction: float) -> int:
@@ -352,8 +353,7 @@ class ChipletBoundary:
     SNI-1, one flit per interposer cycle.  ``pending`` holds the packet
     once per flit still to enter the SNI."""
 
-    def __init__(self, chiplet: int, interposer_width: int, sni: SniUnit):
-        self.chiplet = chiplet
+    def __init__(self, interposer_width: int, sni: SniUnit):
         self.ratio = CHIPLET_LINK_BITS // interposer_width
         self.sni = sni
         # one entry per 128-bit beat: (stamp tick, packet)
@@ -383,8 +383,7 @@ class ChipletIngress:
     router's local port guarantees pieces of one packet arrive
     contiguously."""
 
-    def __init__(self, chiplet: int, interposer_width: int, hub: "ChipletHub"):
-        self.chiplet = chiplet
+    def __init__(self, interposer_width: int, hub: "ChipletHub"):
         self.ratio = CHIPLET_LINK_BITS // interposer_width
         self.hub = hub
         self.pieces = 0
@@ -409,8 +408,6 @@ class ChipletHub:
     """
 
     def __init__(self, chiplet: int, topo: Topology, deliver):
-        self.chiplet = chiplet
-        self.topo = topo
         self.deliver = deliver  # deliver(packet, tick)
         self.queues: dict[int, deque[Packet]] = {
             c: deque() for c in topo.core_range(chiplet)
@@ -426,7 +423,7 @@ class ChipletHub:
     def enqueue(self, packet: Packet) -> None:
         """Queue a core packet; one bound for a core of this chiplet is
         looped back by the hub and never reaches the interposer."""
-        packet.loopback = packet.dest_node in self.queues  # keyed by our cores
+        packet.loopback = packet.msg.destination_id in self.queues  # keyed by our cores
         queue = self.queues[packet.src_node]
         if not queue:
             insort(self.waiting, packet.src_node)
@@ -581,8 +578,8 @@ class Fabric:
             router = self.routers[topo.chiplet_router(k)]
             hub = ChipletHub(k, topo, partial(self._deliver, deliver_chiplet, k))
             unit = link_sni(SniKind.SNI1, k, router)
-            hub.boundary = ChipletBoundary(k, interposer_width, unit)
-            router.local_sink = ChipletIngress(k, interposer_width, hub).sink
+            hub.boundary = ChipletBoundary(interposer_width, unit)
+            router.local_sink = ChipletIngress(interposer_width, hub).sink
             self.hubs.append(hub)
             self.boundaries.append(hub.boundary)
             self.snis.append(unit)
@@ -625,7 +622,7 @@ class Fabric:
             dest_router = self._chiplet_router.get(target_chiplet)
         if dest_router is None:  # not a node or chiplet: raises TopologyError
             dest_router = self.topo.dest_router(dest_node, target_chiplet)
-        packet = Packet(pid, msg, src_node, dest_node, dest_router, target_chiplet)
+        packet = Packet(pid, msg, src_node, dest_router, target_chiplet)
         packet.inject_tick = tick
         packet.flits = encode(msg, self.iw)
         packet.flit_total = len(packet.flits)
@@ -674,16 +671,19 @@ class Fabric:
         self.latency.add(packet)
         callback(index, packet, tick)
 
-    def _drop(self, packet: Packet, icycle: int, replacement=None, dest_node=None):
+    def _drop(self, packet: Packet, icycle: int, replacement=None):
         """Retire a packet that an SNI discards.  For an SNI-2 rewrite,
-        return the replacement message's packet, encoded like any other."""
+        return the replacement message's packet, encoded like any other
+        and bound for the message's destination."""
         packet.dropped = True
         del self.registry[packet.pid]
         self.dropped += 1
         if replacement is None:
             return None
         tick = icycle * CLOCK_RATIO
-        new = self.new_packet(replacement, replacement.requester_id, dest_node, tick)
+        new = self.new_packet(
+            replacement, replacement.requester_id, replacement.destination_id, tick
+        )
         new.first_grant_tick = tick
         return new
 
@@ -763,7 +763,7 @@ class Fabric:
             held.extend(p for _, p in boundary.egress)
             held.extend(boundary.pending)
         for sni in self.snis:
-            held.extend(entry.packet for entry in sni.inflight)
+            held.extend(sni.inflight)
         for router in self.routers.values():
             for queue in router.buffers.values():
                 held.extend(p for _, p in queue)

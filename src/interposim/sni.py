@@ -58,15 +58,14 @@ class SniVerdict:
     threat: ThreatClass | None = None
     detail: str = ""
     replacement: CoherenceMessage | None = None
-    new_destination: int | None = None
 
     @classmethod
     def allow(cls) -> "SniVerdict":
         return _ALLOW
 
     @classmethod
-    def rewrite(cls, replacement: CoherenceMessage, new_destination: int) -> "SniVerdict":
-        return cls(VerdictKind.REWRITE, replacement=replacement, new_destination=new_destination)
+    def rewrite(cls, replacement: CoherenceMessage) -> "SniVerdict":
+        return cls(VerdictKind.REWRITE, replacement=replacement)
 
     @classmethod
     def violation(cls, threat: ThreatClass, detail: str) -> "SniVerdict":
@@ -281,15 +280,14 @@ def sni2_filter(msg, target_chiplet: int, cfg: SniConfig, table: ApuTable) -> Sn
         table.lookup(address)  # raises AddressOutOfRange
     if view.cells[region][target_chiplet]:
         return _ALLOW  # not NO_ACCESS
-    original_requester = msg.cur_owner
     replacement = CoherenceMessage(
         msg_type=MsgType.NACK,
         requester_id=cfg.topo.rep_core(target_chiplet),
-        destination_id=original_requester,
+        destination_id=msg.cur_owner,  # the original requester
         vnet=2,
         address=address,
     )
-    return SniVerdict.rewrite(replacement, original_requester)
+    return SniVerdict.rewrite(replacement)
 
 
 @dataclass(frozen=True)
@@ -327,27 +325,6 @@ class ViolationRecord:
 _UNJUDGED = 1 << 62  # release cycle of a packet not judged yet
 
 
-class _Progress:
-    """One packet in the unit: its flits ``packet.flits[:arrived]`` have
-    come in and ``[:forwarded]`` have left.  ``header`` is the judged
-    header, kept for the violation record (None if the unit is disabled).
-    ``release_cycle`` is ``_UNJUDGED`` until the header has arrived."""
-
-    __slots__ = (
-        "packet", "arrived", "forwarded", "verdict", "header",
-        "final_header_cycle", "release_cycle",
-    )
-
-    def __init__(self, packet):
-        self.packet = packet
-        self.arrived = 0
-        self.forwarded = 0
-        self.verdict: SniVerdict | None = None
-        self.header = None
-        self.final_header_cycle = -1
-        self.release_cycle = _UNJUDGED
-
-
 @dataclass
 class SniStats:
     checked: int = 0
@@ -361,17 +338,21 @@ class SniUnit:
     """One SNI instance: a sequential pipeline driven by the interposer clock.
 
     ``push(packet, cycle)`` says that the next flit of ``packet``
-    arrives (at most one per interposer cycle, in link order); the unit
-    keeps a reference to the packet and counts its flits, never a copy.
-    Once ``header_flits`` have arrived the header is extracted once and
+    arrives (at most one per interposer cycle, in link order).
+    ``inflight`` holds the packets, front first, never a flit copy; each
+    packet counts its flits that have come in (``arrived``) and left
+    (``forwarded``) and keeps its ``verdict``, judged ``header`` and
+    ``release_cycle`` (``_UNJUDGED`` until the header is in).  Once
+    ``header_flits`` have arrived the header is extracted once and
     judged: ``pcm_check`` on every packet, then, on SNI-2 with rewriting
     on, ``sni2_filter`` on a probe copy bound for one chiplet.  The
     packet's head is released exactly ``latency`` cycles later, then
     flits stream out one per cycle into the attached router:
     ``forward(flit, packet, cycle)`` hands one over and returns False if
-    the router refuses it, which is tried again on the next cycle.
-    The unit holds at most ``INPUT_CAPACITY`` flits.  When disabled it
-    is a zero-delay wire.
+    the router refuses it, which is tried again on the next cycle.  A
+    rewrite puts the replacement packet, whole and allowed, in the
+    probe's place with the probe's release cycle.  The unit holds at
+    most ``INPUT_CAPACITY`` flits.  When disabled it is a zero-delay wire.
     """
 
     def __init__(
@@ -388,16 +369,16 @@ class SniUnit:
         self.width = width
         self.table = table  # swapped by the harness at privileged updates
         self.forward = forward
-        # drop_packet(packet, cycle, replacement=None, dest_node=None)
-        # retires a discarded packet; given a replacement message, it
-        # returns that message's new packet, encoded at this unit's width
+        # drop_packet(packet, cycle, replacement=None) retires a discarded
+        # packet; given a replacement message, it returns that message's
+        # new packet, encoded at this unit's width
         self.drop_packet = drop_packet
         self.enabled = enabled
         self.header_flits = control_flit_count(width)
         self.latency = cfg.latency if enabled else 0
         self.filters_probes = rewrite_enabled and cfg.kind is SniKind.SNI2
         self.kind_name = cfg.kind.value
-        self.inflight: deque[_Progress] = deque()
+        self.inflight: deque = deque()  # packets, front first
         self.held = 0
         self.stats = SniStats()
 
@@ -408,22 +389,20 @@ class SniUnit:
         """The next flit of ``packet`` arrives."""
         if packet.dropped:
             return  # the rest of a packet judged a violation
-        if not self.inflight or self.inflight[-1].packet is not packet:
-            self.inflight.append(_Progress(packet))
-        entry = self.inflight[-1]
-        entry.arrived += 1
+        if packet.arrived == 0:
+            packet.release_cycle = _UNJUDGED
+            self.inflight.append(packet)
+        packet.arrived += 1
         self.held += 1
-        if entry.arrived == self.header_flits:
-            entry.final_header_cycle = cycle
-            entry.verdict = self._judge(entry)
-            entry.release_cycle = cycle + self.latency
+        if packet.arrived == self.header_flits:
+            packet.verdict = self._judge(packet)
+            packet.release_cycle = cycle + self.latency
 
-    def _judge(self, entry: _Progress) -> SniVerdict:
+    def _judge(self, packet) -> SniVerdict:
         if not self.enabled:
             return _ALLOW
         self.stats.checked += 1
-        packet = entry.packet
-        fields = entry.header = extract_stage(packet.flits, self.width, self.header_flits)
+        fields = packet.header = extract_stage(packet.flits, self.width, self.header_flits)
         table = self.table
         verdict = pcm_check(fields, self.cfg, table)
         if (verdict.outcome is VerdictKind.ALLOW and self.filters_probes
@@ -433,19 +412,19 @@ class SniUnit:
             self.stats.allowed += 1
         return verdict
 
-    def _apply_rewrite(self, entry: _Progress, cycle: int) -> None:
-        verdict = entry.verdict
+    def _apply_rewrite(self, probe, cycle: int):
+        """Drop the front ``probe`` and put its replacement in its place."""
         self.stats.rewrites += 1
-        chiplet = entry.packet.target_chiplet
+        chiplet = probe.target_chiplet
         per = self.stats.filtered_per_chiplet
         per[chiplet] = per.get(chiplet, 0) + 1
-        new_packet = self.drop_packet(
-            entry.packet, cycle, verdict.replacement, verdict.new_destination
-        )
-        self.held += new_packet.flit_total - entry.arrived
-        entry.packet = new_packet
-        entry.arrived = new_packet.flit_total
-        entry.verdict = SniVerdict.allow()
+        nack = self.drop_packet(probe, cycle, probe.verdict.replacement)
+        self.held += nack.flit_total - probe.arrived
+        nack.arrived = nack.flit_total
+        nack.verdict = _ALLOW
+        nack.release_cycle = probe.release_cycle
+        self.inflight[0] = nack
+        return nack
 
     def step(self, cycle: int) -> list[ViolationRecord]:
         """Advance one interposer cycle; at most one flit leaves the unit.
@@ -454,37 +433,39 @@ class SniUnit:
         violations: list[ViolationRecord] = []
         inflight = self.inflight
         while inflight:
-            entry = inflight[0]
-            if cycle < entry.release_cycle:
+            packet = inflight[0]
+            if cycle < packet.release_cycle:
                 break
-            outcome = entry.verdict.outcome
+            verdict = packet.verdict
+            outcome = verdict.outcome
             if outcome is VerdictKind.VIOLATION:
                 violations.append(
                     ViolationRecord(
-                        cycle=entry.release_cycle,
+                        cycle=packet.release_cycle,
                         router=self.cfg.attached_router,
                         port=Port.LOCAL.value,
                         sni_kind=self.kind_name,
-                        threat=entry.verdict.threat,
-                        detail=entry.verdict.detail,
-                        message=_render_fields(entry.header),
-                        packet_id=entry.packet.pid,
+                        threat=verdict.threat,
+                        detail=verdict.detail,
+                        message=_render_fields(packet.header),
+                        packet_id=packet.pid,
                     )
                 )
                 self.stats.violations += 1
-                self.held -= entry.arrived
-                self.drop_packet(entry.packet, cycle)
+                self.held -= packet.arrived
+                self.drop_packet(packet, cycle)
                 inflight.popleft()
                 continue
             if outcome is VerdictKind.REWRITE:
-                self._apply_rewrite(entry, cycle)
-            packet = entry.packet
-            sent = entry.forwarded
-            if sent < entry.arrived and self.forward(packet.flits[sent], packet, cycle):
+                packet = self._apply_rewrite(packet, cycle)
+            sent = packet.forwarded
+            if sent < packet.arrived and self.forward(packet.flits[sent], packet, cycle):
                 if sent == 0:
-                    packet.sni_delay = cycle - entry.final_header_cycle
+                    # The final header flit came in ``latency`` cycles
+                    # before the release.
+                    packet.sni_delay = cycle - packet.release_cycle + self.latency
                     packet.sni_kind = self.kind_name
-                entry.forwarded = sent + 1
+                packet.forwarded = sent + 1
                 self.held -= 1
                 if sent + 1 == packet.flit_total:
                     inflight.popleft()

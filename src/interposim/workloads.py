@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .apu import ApuTable
+from .messages import ADDRESS_BITS
 from .topology import LINE_SHIFT, Topology
 
 LINE_BYTES = 1 << LINE_SHIFT
@@ -197,6 +198,13 @@ def _from_trace(spec: WorkloadSpec, topo: Topology):
                 raise WorkloadError(f"{spec.trace_path}:{lineno}: {exc}") from None
             if not topo.is_core(core):
                 raise WorkloadError(f"{spec.trace_path}:{lineno}: no core {core}")
+            # A request the wire format cannot carry would fail to encode at
+            # its tick; one beyond the permission table is the SNIs' to judge.
+            if not 0 <= address < 1 << ADDRESS_BITS:
+                raise WorkloadError(
+                    f"{spec.trace_path}:{lineno}: address {parts[3]} does not fit"
+                    f" in {ADDRESS_BITS} bits"
+                )
             prev = last_cycle.get(core, -1)
             if cycle <= prev:
                 raise WorkloadError(

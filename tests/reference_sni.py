@@ -127,4 +127,4 @@ def sni2_filter(msg, target_chiplet: int, cfg: SniConfig, table: ApuTable) -> Sn
         vnet=2,
         address=msg.address,
     )
-    return SniVerdict.rewrite(replacement, original_requester)
+    return SniVerdict.rewrite(replacement)

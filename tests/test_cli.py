@@ -187,12 +187,16 @@ class TestValidate:
         assert "bad record" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "record", [None, "0 0 X 0x80", "0 999 R 0x80"],
-        ids=["missing-file", "bad-record", "unknown-core"],
+        "record",
+        [None, "0 0 X 0x80", "0 999 R 0x80", "0 0 R 0x100000000000000000",
+         "0 0 R -64"],
+        ids=["missing-file", "bad-record", "unknown-core", "address-over-64-bits",
+             "negative-address"],
     )
     def test_bad_trace_file_fails_validation(self, tmp_path, capsys, record):
-        """A missing trace file, a bad record and an unknown core fail
-        validation as they fail a run."""
+        """A missing trace file, a bad record, an unknown core and an
+        address the wire format cannot carry fail validation as they fail
+        a run."""
         path = tmp_path / "trace.txt"
         if record is not None:
             path.write_text(record + "\n", encoding="utf-8")
@@ -307,7 +311,43 @@ class TestValidate:
         assert "configuration ok" not in captured.out
         assert "address space" in captured.err and "Traceback" not in captured.err
 
-    def test_unknown_preset_is_usage_error(self):
+    def test_unknown_preset_is_usage_error(self, capsys):
+        """A usage error is bad configuration, not a security halt (2)."""
         with pytest.raises(SystemExit) as exc:
             main(["run", "--preset", "nope"])
-        assert exc.value.code == 2
+        assert exc.value.code == EXIT_CONFIG
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--width", "32"],
+        ["run", "--seed", "x"],
+        ["validate-config", "--no-such-flag"],
+        [],
+    ], ids=["width", "seed", "unknown-flag", "no-command"])
+    def test_other_usage_errors_exit_64(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_CONFIG
+        assert "error: " in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--help"])
+        assert exc.value.code == 0
+        assert "--preset" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["run", "validate-config"])
+    def test_negative_region_shift(self, tmp_path, capsys, command):
+        path = tmp_path / "perm.map"
+        path.write_text(
+            "regions 8\nshift -1\ndefault = RW,RW,RW,RW,RW,RW,RW,RW\n",
+            encoding="utf-8",
+        )
+        args = [command, "--preset", "desk-scale", "--permissions", str(path)]
+        if command == "run":
+            args += ["--ops", "5"]
+        assert main(args) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "configuration ok" not in captured.out
+        assert "region shift -1 is negative" in captured.err
+        assert "Traceback" not in captured.err

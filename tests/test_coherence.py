@@ -138,7 +138,7 @@ class DirectoryHarness:
         self.sent_ticks.append(tick)
 
     def request(self, msg, tick=0):
-        self.dir.deliver(msg, tick)
+        self.dir.deliver(msg)
         self.dir.step(tick)
         out, self.sent = self.sent, []
         return out

@@ -77,7 +77,7 @@ def percentile(sorted_values: list[int], fraction: float) -> int:
 
 
 def _packet(inject, grant, deliver, hops):
-    p = Packet(0, CoherenceMessage(MsgType.GETS, 0, 64, 0, 0), 0, 64, 0)
+    p = Packet(0, CoherenceMessage(MsgType.GETS, 0, 64, 0, 0), 0, 0)
     p.inject_tick, p.first_grant_tick = inject, grant
     p.deliver_tick, p.hops = deliver, hops
     return p

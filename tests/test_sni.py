@@ -191,7 +191,6 @@ class TestSni2Filter:
         assert nack.destination_id == 5  # the original requester
         assert nack.vnet == 2
         assert nack.address == REGION3
-        assert verdict.new_destination == 5
 
     def test_probe_to_permitted_chiplet_passes(self, topo8):
         probe = CoherenceMessage(
@@ -227,21 +226,20 @@ class _Harness:
         self.out.append((self.cycle, flit, packet))
         return True
 
-    def _drop(self, dropped, cycle, msg=None, dest=None):
+    def _drop(self, dropped, cycle, msg=None):
         """Retire ``dropped``, as the fabric does; a rewrite's NACK comes
         back as a new packet."""
         dropped.dropped = True
         if msg is None:
             return None
-        packet = Packet(self._next_pid, msg, msg.requester_id, dest, 0)
+        packet = Packet(self._next_pid, msg, msg.requester_id, 0)
         self._next_pid += 1
         packet.flits = encode(msg, self.unit.width)
         packet.flit_total = len(packet.flits)
         return packet
 
     def make_packet(self, msg, width, target_chiplet=None):
-        packet = Packet(1, msg, msg.requester_id, msg.destination_id, 0,
-                        target_chiplet)
+        packet = Packet(1, msg, msg.requester_id, 0, target_chiplet)
         packet.flits = encode(msg, width)
         packet.flit_total = len(packet.flits)
         return packet
@@ -371,9 +369,18 @@ class TestPipeline:
         assert h.unit.stats.rewrites == 1
         assert h.unit.stats.filtered_per_chiplet == {4: 1}
         forwarded = [p for _, _, p in h.out]
-        assert forwarded[0] is not packet
-        assert forwarded[0].msg.msg_type is MsgType.NACK
-        assert forwarded[0].msg.destination_id == 5
+        nack = forwarded[0]
+        assert nack is not packet
+        assert nack.msg.msg_type is MsgType.NACK
+        assert nack.msg.destination_id == 5
+        # The NACK leaves when the probe would have: its SNI delay counts
+        # from the probe's final header flit, at cycle 1.
+        assert h.out[0][0] == 1 + SNI2_LATENCY
+        assert nack.sni_delay == SNI2_LATENCY
+        assert nack.sni_kind == "sni2"
+        assert forwarded == [nack] * nack.flit_total
+        assert h.unit.held == 0
+        assert not h.unit.inflight
 
     def test_one_flit_per_cycle_egress(self, topo8):
         h = _Harness(topo8, sni1_cfg(topo8), 64)

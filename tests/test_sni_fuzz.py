@@ -152,15 +152,15 @@ def oracle_check(h, kind: SniKind, index: int, topo: Topology, table: ApuTable):
 
 
 def oracle_filter(h, target: int, topo: Topology, table: ApuTable):
-    """(outcome, replacement, new destination) of SNI-2's probe filter."""
+    """(outcome, replacement) of SNI-2's probe filter."""
     if h.msg_type not in DOC_PROBES:
-        return ALLOW, None, None
+        return ALLOW, None
     if _cell(table, h.address, target) is not Permission.NO_ACCESS:
-        return ALLOW, None, None
+        return ALLOW, None
     nack = CoherenceMessage(
         MsgType.NACK, target * topo.cores_per_chiplet, h.cur_owner, 2, h.address
     )
-    return REWRITE, nack, h.cur_owner
+    return REWRITE, nack
 
 
 @st.composite
@@ -269,7 +269,7 @@ def test_sni2_filter_matches_reference_and_rules(case):
     got = _outcome(sni2_filter, header, target, cfg, table)
     assert got == _outcome(reference_sni.sni2_filter, header, target, cfg, table)
     if not isinstance(got, type) and header.address is not None:
-        assert (got.outcome, got.replacement, got.new_destination) == oracle_filter(
+        assert (got.outcome, got.replacement) == oracle_filter(
             header, target, cfg.topo, table
         )
 
