@@ -9,7 +9,8 @@ Subcommands:
                    table unless --permissions is given)
   validate-config  check flags/files without simulating
 
-Exit codes: 0 success, 2 security halt, 3 deadlock/budget, 4 a run that
+Exit codes: 0 success, 1 an attack-suite run that missed a template
+(``DETECTION GAPS``), 2 security halt, 3 deadlock/budget, 4 a run that
 completed with a failed coherence check (oracle divergence or SWMR
 violation), 64 bad configuration or usage, 70 a broken protocol
 invariant (a simulator bug; ``error: ...`` is printed in place of a
@@ -209,9 +210,7 @@ def _cmd_attack_suite(args) -> int:
     cfg = _build_config(args)
     if args.permissions is None:
         # The preset's own table may deny nothing: attack the demo table.
-        cfg = replace(
-            cfg, permissions=presets.attack_demo_table(n_chiplets=cfg.n_chiplets)
-        )
+        cfg = replace(cfg, permissions=presets.attack_demo_table())
     topo = cfg.topology()
     if args.attacks:
         scenarios = load_scenarios(args.attacks, topo)

@@ -223,7 +223,7 @@ class Directory:
         self.node = topo.mc_node(mc)
         self.topo = topo
         self.dram = dram
-        self.send = send  # send(msg, tick, target_chiplet=None)
+        self.send = send  # send(msg, tick, chiplets=(None,))
         self.dram_latency = dram_latency
         self.busy: dict[int, int] = {}
         self.entries: dict[int, DirEntry] = {}
@@ -243,8 +243,8 @@ class Directory:
     def _probe(
         self, kind: MsgType, address: int, requester: int, chiplets, tick: int
     ) -> int:
-        # A message is frozen, so one serves every target chiplet; each
-        # packet still gets its own flits.
+        # One call: the fabric encodes the probe once, and its packets,
+        # one per target chiplet, share the flits.
         probe = CoherenceMessage(
             msg_type=kind,
             requester_id=self.node,
@@ -253,8 +253,7 @@ class Directory:
             address=address,
             cur_owner=requester,
         )
-        for chiplet in chiplets:
-            self.send(probe, tick, chiplet)
+        self.send(probe, tick, chiplets)
         return len(chiplets)
 
     def _handle_request(self, msg: CoherenceMessage, tick: int) -> None:

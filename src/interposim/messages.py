@@ -227,14 +227,13 @@ class FlitPosition(Enum):
 class Flit:
     """Fixed-width slice of an encoded message.
 
-    ``stamp`` is out-of-band simulator metadata, never part of the
-    encoded bits: the last tick this flit moved.
+    Nothing writes a flit after ``encode`` made it, so the packets of one
+    broadcast share one list of flits.
     """
 
     payload: int
     width: int
     position: FlitPosition
-    stamp: int = -1
 
     @property
     def is_head(self) -> bool:

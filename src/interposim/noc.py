@@ -3,8 +3,9 @@
 Two clock domains share one global tick counter: chiplet-side components
 step every tick, interposer-side components every fourth tick (a 4:1
 frequency ratio).  Chiplet links are 128 bits wide; interposer links are
-64 or 128 bits.  A packet is encoded once, at the interposer width, where
-the SNIs read its header bits; on a chiplet link it moves as a count of
+64 or 128 bits.  A message is encoded once, at the interposer width,
+where the SNIs read its header bits, and the packets of one broadcast
+share that encoding; on a chiplet link a packet moves as a count of
 128-bit beats, each beat standing for ``128 // width`` interposer flits.
 Every ingress link into the interposer passes through an SNI;
 router-to-router links inside the mesh do not.  An SNI is handed the
@@ -51,14 +52,14 @@ class Packet:
     """One message in flight, with its flits and latency bookkeeping.
 
     Timestamps are global ticks.  ``flits`` holds the interposer-width
-    encoding, the only one.  The last five slots belong to the one SNI
-    the packet crosses (see ``SniUnit``).
+    encoding, which the packets of one broadcast share.  The last five
+    slots belong to the one SNI the packet crosses (see ``SniUnit``).
     """
 
     __slots__ = (
         "pid", "msg", "src_node", "target_chiplet", "vnet",
         "vc", "dest_router", "flits", "flit_total", "inject_tick",
-        "first_grant_tick", "deliver_tick", "hops", "sni_delay", "sni_kind",
+        "first_grant_tick", "deliver_tick", "hops",
         "dropped", "malicious", "loopback",
         "arrived", "forwarded", "verdict", "header", "release_cycle",
     )
@@ -67,6 +68,7 @@ class Packet:
         self,
         pid: int,
         msg: CoherenceMessage,
+        flits: list[Flit],
         src_node: int,
         dest_router: int,
         target_chiplet: int | None = None,
@@ -78,14 +80,12 @@ class Packet:
         self.vnet = msg.vnet
         self.vc: int | None = None
         self.dest_router = dest_router
-        self.flits: list[Flit] = []
-        self.flit_total = 0
+        self.flits = flits
+        self.flit_total = len(flits)
         self.inject_tick = -1
         self.first_grant_tick = -1
         self.deliver_tick = -1
         self.hops = 0
-        self.sni_delay = -1
-        self.sni_kind: str | None = None
         self.dropped = False
         self.malicious = False
         self.loopback = False
@@ -154,7 +154,7 @@ class Router:
     path; a per-destination routing table is precomputed when the mesh
     is wired up.  An input VC is an int key, ``(port * 4 + vnet) *
     vc_per_vnet + vc``, which sorts like the (port, vnet, vc) tuple, and
-    each key owns one deque of (flit, packet).
+    each key owns one deque of (flit, packet, tick) entries.
 
     A cycle costs work in proportion to the flits that can move.
     ``ready[out]`` is the sorted list of keys whose front flit is a head
@@ -169,8 +169,8 @@ class Router:
     to do.  A free output grants the first ready key after its last
     grant, wrapping round; a locked one sends the next flit of its worm.
 
-    A mesh hop costs no call beyond the sender's ``step``: it appends the
-    (flit, packet) entry to the neighbour's paired input VC, the one with
+    A mesh hop costs no call beyond the sender's ``step``: it appends an
+    entry to the neighbour's paired input VC, the one with
     the same VC offset ``vnet * vc_per_vnet + vc`` (precomputed per
     output and key in ``downstream``), and updates the neighbour's ready
     and busy lists when a head enters an empty VC.  The hop is refused
@@ -182,8 +182,8 @@ class Router:
     a mesh hop, while that VC holds ``vc_depth`` flits.
 
     A flit moves at most once per cycle and never in the cycle it
-    arrived (``stamp`` holds that tick).  A head that reaches the front
-    behind a departing tail has its stamp raised to the current tick, so
+    arrived, the tick its entry holds.  A head that reaches the front
+    behind a departing tail has that tick raised to the current one, so
     it too waits for the next cycle, whichever output it is routed to.
     """
 
@@ -255,8 +255,7 @@ class Router:
             if packet.first_grant_tick < 0:
                 # The checker pipeline before this point counts as queuing.
                 packet.first_grant_tick = tick
-        q.append((flit, packet))
-        flit.stamp = tick
+        q.append((flit, packet, tick))
         if self.trace is not None:
             self.trace(tick, packet, flit, f"sni->{self.id}")
         return True
@@ -283,7 +282,7 @@ class Router:
                     key = ready[j]
                     q = buffers[key]
                     entry = q[0]
-                    if entry[0].stamp < tick:
+                    if entry[2] < tick:
                         break
                 else:
                     continue
@@ -293,9 +292,9 @@ class Router:
                 if not q:
                     continue
                 entry = q[0]
-                if entry[0].stamp >= tick:
+                if entry[2] >= tick:
                     continue
-            flit, packet = entry
+            flit, packet, _ = entry
             pos = flit.position
             if out != _LOCAL_IDX:
                 # The hop: straight into the neighbour's paired input VC.
@@ -310,8 +309,7 @@ class Router:
                     if not nready and nxt.locks[nout] is None:
                         insort(nxt.busy, nout)
                     insort(nready, nkey)
-                nq.append(entry)
-                flit.stamp = tick
+                nq.append((flit, packet, tick))
             q.popleft()
             sent = True
             if pos is _HEAD:
@@ -332,8 +330,8 @@ class Router:
                 if q:
                     # The next packet's head reaches the front: it may
                     # leave no earlier than the next cycle.
-                    head, ahead = q[0]
-                    head.stamp = tick
+                    head, ahead, _ = q[0]
+                    q[0] = (head, ahead, tick)
                     self._head_ready(key, ahead)
             if out == _LOCAL_IDX:
                 # After the hop count: the sink may deliver the packet.
@@ -609,11 +607,13 @@ class Fabric:
     def new_packet(
         self,
         msg: CoherenceMessage,
+        flits: list[Flit],
         src_node: int,
         dest_node: int,
         tick: int,
         target_chiplet: int | None = None,
     ) -> Packet:
+        """Register a packet of ``msg``, encoded as ``flits``."""
         pid = self._next_pid
         self._next_pid += 1
         if target_chiplet is None:
@@ -622,16 +622,16 @@ class Fabric:
             dest_router = self._chiplet_router.get(target_chiplet)
         if dest_router is None:  # not a node or chiplet: raises TopologyError
             dest_router = self.topo.dest_router(dest_node, target_chiplet)
-        packet = Packet(pid, msg, src_node, dest_router, target_chiplet)
+        packet = Packet(pid, msg, flits, src_node, dest_router, target_chiplet)
         packet.inject_tick = tick
-        packet.flits = encode(msg, self.iw)
-        packet.flit_total = len(packet.flits)
         self.flits_injected += packet.flit_total
         self.registry[pid] = packet
         return packet
 
     def inject_from_core(self, msg: CoherenceMessage, tick: int) -> Packet:
-        packet = self.new_packet(msg, msg.requester_id, msg.destination_id, tick)
+        packet = self.new_packet(
+            msg, encode(msg, self.iw), msg.requester_id, msg.destination_id, tick
+        )
         self._core_hub[msg.requester_id].enqueue(packet)
         return packet
 
@@ -645,21 +645,25 @@ class Fabric:
             # Unroutable destination (broadcast id or junk): the packet
             # still heads onto the interposer and meets the link's SNI.
             dest = self.topo.mc_node(0)
-        packet = self.new_packet(msg, src_core, dest, tick)
+        packet = self.new_packet(msg, encode(msg, self.iw), src_core, dest, tick)
         packet.malicious = True
         self._core_hub[src_core].enqueue(packet)
         return packet
 
     def inject_from_mc(
-        self, msg: CoherenceMessage, tick: int, target_chiplet: int | None = None
-    ) -> Packet:
+        self, msg: CoherenceMessage, tick: int, chiplets=(None,)
+    ) -> list[Packet]:
         """Inject on the link of the controller that ``msg`` names as its
-        requester."""
-        packet = self.new_packet(
-            msg, msg.requester_id, msg.destination_id, tick, target_chiplet
-        )
-        self.mc_nis[self.topo.mc_index(msg.requester_id)].enqueue(packet)
-        return packet
+        requester one packet per target chiplet in ``chiplets``, None
+        standing for the message's own destination.  The message is
+        encoded once and its packets share the flits."""
+        ni = self.mc_nis[self.topo.mc_index(msg.requester_id)]
+        flits = encode(msg, self.iw)
+        src, dest = msg.requester_id, msg.destination_id
+        packets = [self.new_packet(msg, flits, src, dest, tick, k) for k in chiplets]
+        for packet in packets:
+            ni.enqueue(packet)
+        return packets
 
     def _deliver(self, callback, index: int, packet: Packet, tick: int) -> None:
         """Retire a packet whose last beat or flit a hub or MC NI took,
@@ -682,7 +686,8 @@ class Fabric:
             return None
         tick = icycle * CLOCK_RATIO
         new = self.new_packet(
-            replacement, replacement.requester_id, replacement.destination_id, tick
+            replacement, encode(replacement, self.iw),
+            replacement.requester_id, replacement.destination_id, tick,
         )
         new.first_grant_tick = tick
         return new
@@ -766,7 +771,7 @@ class Fabric:
             held.extend(sni.inflight)
         for router in self.routers.values():
             for queue in router.buffers.values():
-                held.extend(p for _, p in queue)
+                held.extend(p for _, p, _ in queue)
         for ni in self.mc_nis:
             held.extend(ni.queue)
         return {p.pid for p in held if not p.dropped}

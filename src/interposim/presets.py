@@ -34,9 +34,7 @@ def private_regions_table(
     return ApuTable(tuple(entries), region_shift)
 
 
-def attack_demo_table(
-    n_chiplets: int = 8, n_regions: int = 64, region_shift: int = 26
-) -> ApuTable:
+def attack_demo_table(n_regions: int = 64, region_shift: int = 26) -> ApuTable:
     """Mixed grants exercising every checker rule: chiplet 0 owns region
     0 exclusively, is read-only on region 1, and locked out of region 2;
     everything else is shared read-write."""

@@ -460,11 +460,6 @@ class SniUnit:
                 packet = self._apply_rewrite(packet, cycle)
             sent = packet.forwarded
             if sent < packet.arrived and self.forward(packet.flits[sent], packet, cycle):
-                if sent == 0:
-                    # The final header flit came in ``latency`` cycles
-                    # before the release.
-                    packet.sni_delay = cycle - packet.release_cycle + self.latency
-                    packet.sni_kind = self.kind_name
                 packet.forwarded = sent + 1
                 self.held -= 1
                 if sent + 1 == packet.flit_total:

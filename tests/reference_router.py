@@ -1,8 +1,10 @@
 """The mesh router as it was before ready lists, kept as a reference.
 
-``ReferenceRouter`` is a verbatim copy of the earlier ``noc.Router``: on
-every cycle it sorts the occupied VCs, rescans them for movable heads and
-builds its candidate lists before it sends anything.  The router tests
+``ReferenceRouter`` is a copy of the earlier ``noc.Router``: on every
+cycle it sorts the occupied VCs, rescans them for movable heads and
+builds its candidate lists before it sends anything.  Only its storage
+follows ``noc.Router``: a VC entry is (flit, packet, tick), the tick at
+which the flit entered the VC.  The router tests
 build one ``Fabric`` with it and one with ``noc.Router`` and compare the
 flit traces.
 """
@@ -53,14 +55,13 @@ class ReferenceRouter:
             q = self.buffers[key] = deque()
         if len(q) >= self.vc_depth:
             return False
-        q.append((flit, packet))
-        flit.stamp = tick
+        q.append((flit, packet, tick))
         self.occupied.add(key)
         return True
 
     def _try_send(self, out: int, key: tuple[int, int, int], tick: int) -> bool:
         q = self.buffers[key]
-        flit, packet = q[0]
+        flit, packet, _ = q[0]
         if out != _LOCAL_IDX and not self.neighbors[out].accept(
             _OPP_IDX[out], key[1], key[2], flit, packet, tick
         ):
@@ -96,8 +97,8 @@ class ReferenceRouter:
         route = self.route_table
         buffers = self.buffers
         for key in sorted(self.occupied):
-            flit, packet = buffers[key][0]
-            if flit.stamp >= tick:
+            flit, packet, arrived = buffers[key][0]
+            if arrived >= tick:
                 continue
             pos = flit.position
             if pos is not _HEAD and pos is not _HEAD_TAIL:
@@ -112,8 +113,7 @@ class ReferenceRouter:
             if lock is not None:
                 if lock not in self.occupied:
                     continue  # rest of the worm still upstream
-                flit, _ = buffers[lock][0]
-                if flit.stamp >= tick:
+                if buffers[lock][0][2] >= tick:
                     continue
                 if self._try_send(out, lock, tick):
                     moved = True

@@ -12,7 +12,8 @@ from interposim import presets
 from interposim.apu import ApuTable, Permission
 from interposim.attacks import standard_suite
 from interposim.harness import EXIT_SECURITY, Simulator
-from interposim.messages import MsgType, control_flit_count
+from interposim.messages import control_flit_count
+from interposim.noc import CLOCK_RATIO
 from interposim.workloads import WorkloadSpec
 
 from helpers import record_packets, with_sni
@@ -69,10 +70,10 @@ def test_criterion_2_snooping_prevention(capsys):
                               read_fraction=0.5, shared_lines=16,
                               mean_gap_ticks=8, active_cores=active),
         label="snooping-prevention",
+        collect_delivery_log=True,
     )
     t0 = time.time()
     sim = Simulator(cfg)
-    packets = record_packets(sim)
     report = sim.run()
     dt = time.time() - t0
     txns = report.counters["transactions"]
@@ -81,11 +82,12 @@ def test_criterion_2_snooping_prevention(capsys):
         u.stats.filtered_per_chiplet.get(observer, 0)
         for u in sim.fabric.mc_snis
     )
-    rep_core = cfg.topology().rep_core(observer)
+    # A filtered probe's NACK names the observer's representative core
+    # as its requester; the directories' own NACKs name a controller.
+    rewritten = f"NACK req={cfg.topology().rep_core(observer)} "
     nacks_delivered = sum(
-        1 for p in packets
-        if p.deliver_tick >= 0 and p.msg.msg_type is MsgType.NACK
-        and p.msg.requester_id == rep_core
+        line.startswith(rewritten)
+        for lines in report.delivery_log.values() for line in lines
     )
     ok = (
         report.halt_cause == "completed"
@@ -132,7 +134,10 @@ def test_criterion_3_coherence_sweep(capsys):
 
 def test_criterion_4_sni_latency_exact(capsys):
     """Added checker delay: exactly 2 cycles at SNI-1, 3 at SNI-2, zero
-    tolerance, measured from flit timestamps on uncongested traffic."""
+    tolerance, on uncongested traffic.  Each packet's queuing is compared
+    with that of the same packet in an SNI-off twin of the run: the
+    difference is the delay the checker adds.  Loopback packets, which
+    cross no SNI, and in-network time must not change."""
     details = []
     ok = True
     for width in (128, 64):
@@ -143,16 +148,35 @@ def test_criterion_4_sni_latency_exact(capsys):
                                   mean_gap_ticks=120, active_cores=(0,)),
             label="sni-latency",
         )
-        sim = Simulator(cfg)
-        packets = record_packets(sim)
-        report = sim.run()
-        d1 = {p.sni_delay for p in packets if p.sni_kind == "sni1"}
-        d2 = {p.sni_delay for p in packets if p.sni_kind == "sni2"}
+        twins = []
+        for enabled in (True, False):
+            sim = Simulator(with_sni(cfg, enabled))
+            packets = record_packets(sim)
+            twins.append((sim, sim.run(), packets))
+        (sim, report, on), (_, report_off, off) = twins
+        topo = cfg.topology()
+        same = [p.msg for p in on] == [p.msg for p in off]
+        added = {"sni1": set(), "sni2": set(), "loopback": set()}
+        for p, q in zip(on, off):
+            same &= (p.deliver_tick - p.first_grant_tick
+                     == q.deliver_tick - q.first_grant_tick)
+            kind = ("loopback" if p.loopback
+                    else "sni2" if topo.is_mc(p.src_node) else "sni1")
+            added[kind].add((p.first_grant_tick - p.inject_tick)
+                            - (q.first_grant_tick - q.inject_tick))
         units1 = sum(1 for u in sim.fabric.chiplet_snis if u.stats.checked)
         units2 = sum(1 for u in sim.fabric.mc_snis if u.stats.checked)
-        ok &= (report.halt_cause == "completed" and not report.violations
-               and d1 == {2} and d2 == {3} and units1 == 8 and units2 == 4)
-        details.append(f"w{width}: sni1={sorted(d1)} sni2={sorted(d2)}")
+        ok &= (report.halt_cause == report_off.halt_cause == "completed"
+               and not report.violations and same
+               and added["sni1"] == {2 * CLOCK_RATIO}
+               and added["sni2"] == {3 * CLOCK_RATIO}
+               and added["loopback"] <= {0}
+               and units1 == 8 and units2 == 4)
+
+        def cycles(kind):
+            return ", ".join(f"{d / CLOCK_RATIO:g}" for d in sorted(added[kind]))
+
+        details.append(f"w{width}: sni1=[{cycles('sni1')}] sni2=[{cycles('sni2')}]")
     _announce(capsys, 4, "SNI latency accounting", ok, "; ".join(details))
 
 

@@ -153,6 +153,15 @@ class TestAttackSuite:
         assert code == 0
         assert "all detected" in out
 
+    def test_sni_off_misses_every_template(self, capsys):
+        """With the SNIs off no template halts the run: five MISS rows,
+        and exit code 1."""
+        code = main(["attack-suite", "--preset", "desk-scale", "--sni", "off"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert [line.split()[-1] for line in out.splitlines()[1:-1]] == ["MISS"] * 5
+        assert "DETECTION GAPS" in out
+
     def test_explicit_all_rw_is_a_usage_error(self, capsys):
         """A table that denies nothing leaves no attack to launch."""
         code = main([

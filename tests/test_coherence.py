@@ -124,8 +124,9 @@ class TestMemoryOracle:
 
 
 class DirectoryHarness:
-    """A directory whose sends are recorded: ``sent`` holds (message,
-    target chiplet) pairs and ``sent_ticks`` the tick of each send."""
+    """A directory whose sends are recorded as the packets the fabric
+    would make: ``sent`` holds a (message, target chiplet) pair per
+    target chiplet of a send, and ``sent_ticks`` the tick of each."""
 
     def __init__(self, topo: Topology, dram_latency: int = 5):
         self.sent = []  # (message, target_chiplet)
@@ -133,9 +134,10 @@ class DirectoryHarness:
         self.dram = Dram()
         self.dir = Directory(0, topo, self.dram, self._send, dram_latency)
 
-    def _send(self, msg, tick, target_chiplet=None):
-        self.sent.append((msg, target_chiplet))
-        self.sent_ticks.append(tick)
+    def _send(self, msg, tick, chiplets=(None,)):
+        for chiplet in chiplets:
+            self.sent.append((msg, chiplet))
+            self.sent_ticks.append(tick)
 
     def request(self, msg, tick=0):
         self.dir.deliver(msg)

@@ -23,7 +23,7 @@ from interposim.sni import SniUnit, ThreatClass
 from interposim.messages import CoherenceMessage, MsgType
 from interposim.workloads import WorkloadSpec
 
-from helpers import record_packets, with_sni
+from helpers import with_sni
 
 
 class TestConfigValidation:
@@ -77,7 +77,7 @@ def percentile(sorted_values: list[int], fraction: float) -> int:
 
 
 def _packet(inject, grant, deliver, hops):
-    p = Packet(0, CoherenceMessage(MsgType.GETS, 0, 64, 0, 0), 0, 0)
+    p = Packet(0, CoherenceMessage(MsgType.GETS, 0, 64, 0, 0), [], 0, 0)
     p.inject_tick, p.first_grant_tick = inject, grant
     p.deliver_tick, p.hops = deliver, hops
     return p
@@ -191,13 +191,13 @@ class TestRunOutcomes:
         b = Simulator(cfg).run().to_json()
         assert a == b
 
-    def test_sni_delay_fields_reported(self):
-        sim = Simulator(presets.desk_scale(seed=0))
-        packets = record_packets(sim)
-        report = sim.run()
+    def test_every_sni_checks_packets(self):
+        cfg = presets.desk_scale(seed=0)
+        report = Simulator(cfg).run()
         assert report.halt_cause == "completed"
-        kinds = {p.sni_kind for p in packets if p.sni_kind}
-        assert kinds == {"sni1", "sni2"}
+        names = [*(f"sni1-chiplet{k}" for k in range(cfg.n_chiplets)),
+                 *(f"sni2-mc{m}" for m in range(cfg.n_mcs))]
+        assert all(report.sni[name]["checked"] > 0 for name in names)
 
     def test_delivery_log_collection(self):
         cfg = replace(presets.desk_scale(seed=0), collect_delivery_log=True)

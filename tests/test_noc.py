@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from interposim import noc
 from interposim.apu import ApuTable, Permission
 from interposim.harness import VC_CHOICES
-from interposim.messages import CoherenceMessage, MsgType, decode
+from interposim.messages import CoherenceMessage, MsgType, decode, encode
 from interposim.noc import CHIPLET_LINK_BITS, CLOCK_RATIO, Fabric
 from interposim.topology import Port, Topology, TopologyError
 from reference_router import ReferenceRouter
@@ -171,7 +171,7 @@ class TestFabricTransport:
             MsgType.MEMORY_DATA, 64, 42, 2, 0x80, cur_owner=8,
             data_block=bytes(range(64)),
         )
-        packet = h.fabric.inject_from_mc(msg, 0)
+        [packet] = h.fabric.inject_from_mc(msg, 0)
         h.run(400)
         assert h.chiplet_rx == [({64: 65, 128: 41}[width], 5, msg)]
         assert decode(h.sunk[packet.pid], width) == msg
@@ -182,13 +182,13 @@ class TestFabricTransport:
         for m in range(topo8.n_mcs):
             h = make_harness(topo8, 128)
             msg = CoherenceMessage(MsgType.MEMORY_ACK, 64 + m, 8 * m + 1, 2, 0x40)
-            packet = h.fabric.inject_from_mc(msg, 0)
+            [packet] = h.fabric.inject_from_mc(msg, 0)
             h.run(200)
             assert [u.stats.checked for u in h.fabric.mc_snis] == [
                 int(i == m) for i in range(topo8.n_mcs)
             ]
             assert all(u.stats.checked == 0 for u in h.fabric.chiplet_snis)
-            assert packet.src_node == 64 + m and packet.sni_kind == "sni2"
+            assert packet.src_node == 64 + m
             assert [(k, got) for _, k, got in h.chiplet_rx] == [(m, msg)]
 
     def test_broadcast_probe_targets_each_chiplet(self, topo8):
@@ -196,10 +196,15 @@ class TestFabricTransport:
             MsgType.PROBE, 64, 255, 1, 0x40, cur_owner=3
         )
         h = make_harness(topo8, 128)
-        for k in range(topo8.n_chiplets):
-            h.fabric.inject_from_mc(probe, 0, target_chiplet=k)
+        packets = h.fabric.inject_from_mc(probe, 0, range(topo8.n_chiplets))
         h.run(600)
         assert sorted(c for _, c, _ in h.chiplet_rx) == list(range(8))
+        assert [p.target_chiplet for p in packets] == list(range(8))
+        # One encoding: the copies share one flit list, and the flits each
+        # chiplet's sink took decode to the probe.
+        assert all(p.flits is packets[0].flits for p in packets)
+        for p in packets:
+            assert decode(h.sunk[p.pid], 128) == probe
 
     def test_same_chiplet_loopback_skips_interposer(self, topo8):
         msg = CoherenceMessage(MsgType.ACK, 1, 3, 2, 0x40)
@@ -319,7 +324,7 @@ class TestFabricTransport:
         h.run(18)  # the single flit waits in a mesh router
         queues = [q for r in h.fabric.routers.values()
                   for q in r.buffers.values() if q]
-        assert [p for q in queues for _, p in q] == [packet]
+        assert [p for q in queues for _, p, _ in q] == [packet]
         assert h.fabric.ledger()["balanced"]
         queues[0].clear()
         ledger = h.fabric.ledger()
@@ -343,17 +348,16 @@ class TestFabricTransport:
         packet = h.fabric.inject_from_core(msg, 0)
         h.run(200)
         assert packet.inject_tick == 0
-        # Mesh entry happens on an interposer cycle boundary, after the
-        # 2-cycle SNI-1 pipeline.
-        assert packet.first_grant_tick % CLOCK_RATIO == 0
-        assert packet.first_grant_tick >= 2 * CLOCK_RATIO
+        # The hub sends the beat at tick 0 and the boundary hands its flit
+        # to SNI-1 at tick 4 (interposer cycle 1); the 2-cycle pipeline
+        # releases it onto the mesh at cycle 3.
+        assert packet.first_grant_tick == 3 * CLOCK_RATIO
         assert packet.deliver_tick > packet.first_grant_tick
         # One grant onto the ingress router, one per mesh link, one for
         # the local delivery.
         assert packet.hops == 2 + topo8.manhattan(
             topo8.chiplet_router(0), topo8.mc_router(0)
         )
-        assert packet.sni_delay == 2 and packet.sni_kind == "sni1"
 
     def test_sni_off_transport_identical_content(self, topo8):
         on = make_harness(topo8, 64, sni_enabled=True)
@@ -379,11 +383,11 @@ class TestEntryVc:
         h = make_harness(topo8, 128, vc_per_vnet=vc_per_vnet)
         acks, wb_acks = [], []
         for i in range(vc_per_vnet + 1):
-            acks.append(h.fabric.inject_from_mc(
+            acks.extend(h.fabric.inject_from_mc(
                 CoherenceMessage(MsgType.MEMORY_ACK, 64, i, 2, 0x40 * (i + 1)), 0
             ))
             if i < 3:
-                wb_acks.append(h.fabric.inject_from_mc(
+                wb_acks.extend(h.fabric.inject_from_mc(
                     CoherenceMessage(MsgType.WB_ACK, 64, 8 + i, 1, 0x40 * (i + 1)), 0
                 ))
         h.run(400)
@@ -397,12 +401,13 @@ class TestEntryVc:
         router = fabric.routers[topo8.mc_router(0)]
         # A body flit at the front of the local port's VC 0 of vnet 2 is
         # never ready to leave, so at depth 1 it fills that VC.
-        plug = fabric.new_packet(CoherenceMessage(
+        msg = CoherenceMessage(
             MsgType.MEMORY_DATA, 64, 8, 2, 0x40, cur_owner=8,
-            data_block=bytes(64)), 64, 8, 0)
+            data_block=bytes(64))
+        plug = fabric.new_packet(msg, encode(msg, 128), 64, 8, 0)
         local_vc0 = (noc._LOCAL_IDX * 4 + 2) * 4
-        router.buffers[local_vc0].append((plug.flits[1], plug))
-        first, second = (
+        router.buffers[local_vc0].append((plug.flits[1], plug, 0))
+        [first], [second] = (
             fabric.inject_from_mc(
                 CoherenceMessage(MsgType.MEMORY_ACK, 64, core, 2, 0x80), 0
             )
@@ -449,9 +454,8 @@ def _inject(fabric, kind, tick):
         else:
             probe = MsgType.PROBE_INV if data else MsgType.PROBE
             msg = CoherenceMessage(probe, 64 + a, 255, 1, address, cur_owner=i)
-            for chiplet in range(8):
-                if (b >> chiplet) & 1:
-                    fabric.inject_from_mc(msg, tick, target_chiplet=chiplet)
+            chiplets = [chiplet for chiplet in range(8) if (b >> chiplet) & 1]
+            fabric.inject_from_mc(msg, tick, chiplets)
 
 
 _INJECTIONS = st.lists(
@@ -574,10 +578,9 @@ class TestRouterReference:
             )
         else:  # a single HEAD_TAIL flit, granted by the free port
             msg = CoherenceMessage(MsgType.ACK, 0, 64, 2, 0x40)
-        ahead = fabric.new_packet(msg, 0, 64, 0)
-        behind = fabric.new_packet(
-            CoherenceMessage(MsgType.ACK, 0, 8, 2, 0x80), 0, 8, 0
-        )
+        ack = CoherenceMessage(MsgType.ACK, 0, 8, 2, 0x80)
+        ahead = fabric.new_packet(msg, encode(msg, 128), 0, 64, 0)
+        behind = fabric.new_packet(ack, encode(ack, 128), 0, 8, 0)
         router = fabric.routers[topo8.chiplet_router(0)]
         for packet in (ahead, behind):
             packet.vc = 0
@@ -607,7 +610,7 @@ class TestBusyOutputs:
             ready = [[] for _ in range(5)]
             for key, q in sorted(router.buffers.items()):
                 if q:
-                    flit, packet = q[0]
+                    flit, packet, _ = q[0]
                     if flit.is_head:
                         ready[router.route_table[packet.dest_router]].append(key)
             assert router.ready == ready, f"router {router.id}"

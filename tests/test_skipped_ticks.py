@@ -54,7 +54,7 @@ def _attack(index: int, machine: str):
     traffic of the preset's workload (``busy``)."""
     def build() -> Simulator:
         base = presets.desk_scale(seed=0)
-        table = presets.attack_demo_table(n_chiplets=base.n_chiplets)
+        table = presets.attack_demo_table()
         cfg = replace(base, permissions=table)
         if machine != "busy":
             cfg = replace(cfg, workload=WorkloadSpec(kind="idle"))

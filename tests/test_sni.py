@@ -232,17 +232,14 @@ class _Harness:
         dropped.dropped = True
         if msg is None:
             return None
-        packet = Packet(self._next_pid, msg, msg.requester_id, 0)
+        packet = Packet(
+            self._next_pid, msg, encode(msg, self.unit.width), msg.requester_id, 0
+        )
         self._next_pid += 1
-        packet.flits = encode(msg, self.unit.width)
-        packet.flit_total = len(packet.flits)
         return packet
 
     def make_packet(self, msg, width, target_chiplet=None):
-        packet = Packet(1, msg, msg.requester_id, 0, target_chiplet)
-        packet.flits = encode(msg, width)
-        packet.flit_total = len(packet.flits)
-        return packet
+        return Packet(1, msg, encode(msg, width), msg.requester_id, 0, target_chiplet)
 
     def run(self, packet, cycles):
         """Push one flit per cycle, stepping the unit every cycle."""
@@ -266,8 +263,6 @@ class TestPipeline:
         # final header flit arrives at cycle 1; head leaves at cycle 3.
         head_cycle = h.out[0][0]
         assert head_cycle == 1 + SNI1_LATENCY
-        assert packet.sni_delay == SNI1_LATENCY
-        assert packet.sni_kind == "sni1"
         assert [f.payload for _, f, _ in h.out] == [f.payload for f in packet.flits]
 
     def test_sni2_head_released_after_three_cycles(self, topo8):
@@ -279,7 +274,6 @@ class TestPipeline:
         packet = h.make_packet(msg, 128)
         h.run(packet, 12)
         assert h.out[0][0] == 0 + SNI2_LATENCY
-        assert packet.sni_delay == SNI2_LATENCY
         assert len(h.out) == 5  # all five flits streamed out
 
     def test_disabled_unit_is_a_wire(self, topo8):
@@ -376,8 +370,6 @@ class TestPipeline:
         # The NACK leaves when the probe would have: its SNI delay counts
         # from the probe's final header flit, at cycle 1.
         assert h.out[0][0] == 1 + SNI2_LATENCY
-        assert nack.sni_delay == SNI2_LATENCY
-        assert nack.sni_kind == "sni2"
         assert forwarded == [nack] * nack.flit_total
         assert h.unit.held == 0
         assert not h.unit.inflight
